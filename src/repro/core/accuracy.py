@@ -1,15 +1,21 @@
-"""Classification-accuracy measurement harness (Figures 1 and 2).
+"""Classification-accuracy measurement (Figures 1 and 2).
 
-Runs a reference stream through three models in lockstep:
+Two vectorised passes price a reference stream:
 
-1. the real set-associative LRU cache under study,
-2. the Miss Classification Table attached to its eviction stream,
-3. the ground-truth oracle (fully-associative LRU + first-touch set).
+1. the L1 + MCT pass of :mod:`repro.system.vector` — the one the
+   simulator and the service also run — marks every reference a hit or
+   a miss, and every miss conflict or capacity as the MCT would, before
+   the fill;
+2. one exact stack-distance pass (:func:`repro.mrc.stack.stack_distances`)
+   gives Hill's truth: a miss is **compulsory** on a first touch, and a
+   true **conflict** when its fully-associative stack distance is within
+   the cache's line count — by Mattson's inclusion property, exactly
+   when a fully-associative LRU cache of equal capacity would have hit.
 
-For every real-cache miss the harness records (MCT prediction, oracle
-truth) into a :class:`~repro.cache.stats.ClassificationStats` confusion
-matrix, from which the paper's *conflict accuracy* and *capacity accuracy*
-bars are read directly.
+Every real-cache miss lands in a
+:class:`~repro.cache.stats.ClassificationStats` confusion matrix, from
+which the paper's *conflict accuracy* and *capacity accuracy* bars are
+read directly.
 
 The paper's grouping is honoured: compulsory misses count as capacity.
 """
@@ -17,30 +23,15 @@ The paper's grouping is honoured: compulsory misses count as capacity.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional, Protocol
+from typing import Iterable, Optional
+
+import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import CacheStats, ClassificationStats
-from repro.core.classification import MissClass
-from repro.core.ground_truth import GroundTruthClassifier
-from repro.core.mct import MissClassificationTable
+from repro.mrc.stack import COLD, stack_distances
 from repro.obs.heartbeat import sim_ticker
-
-
-class MissOracle(Protocol):
-    """What :func:`measure_accuracy` needs from a ground-truth model.
-
-    :class:`~repro.core.ground_truth.GroundTruthClassifier` (simulating)
-    and :class:`~repro.mrc.oracle.StackDistanceOracle` (replaying a
-    shared stack pass) both satisfy it.  The contract inherited from the
-    classifier: :meth:`classify_miss` before :meth:`observe` for the
-    same reference, and one fresh oracle per replay of a stream.
-    """
-
-    def classify_miss(self, addr: int) -> MissClass: ...
-
-    def observe(self, addr: int) -> None: ...
+from repro.system.vector import l1_pass
 
 
 @dataclass
@@ -77,13 +68,7 @@ class AccuracyResult:
 
 
 def _accuracy_counters(result: AccuracyResult) -> dict:
-    """Counter snapshot of an accuracy run, in the obs metrics shape.
-
-    ``result.cache`` is only populated after the final merge, so
-    mid-run deltas carry the classification counters and the closing
-    delta carries the cache counters — the replay still reconciles
-    exactly against the final snapshot.
-    """
+    """Counter snapshot of an accuracy run, in the obs metrics shape."""
     return {
         "classification": asdict(result.classification),
         "cache": asdict(result.cache),
@@ -91,90 +76,105 @@ def _accuracy_counters(result: AccuracyResult) -> dict:
     }
 
 
+def _result_at(
+    geometry: CacheGeometry, tag_bits: Optional[int], refs: int, counts: "np.ndarray"
+) -> AccuracyResult:
+    """The result over the first ``refs`` references, from per-row counts.
+
+    ``counts`` follows the row order :func:`measure_accuracy` stacks:
+    the four confusion cells, then compulsory misses, misses, evictions.
+    """
+    cc, c_cap, cap_cap, cap_c, compulsory, misses, evictions = (
+        int(c) for c in counts
+    )
+    return AccuracyResult(
+        geometry=geometry,
+        tag_bits=tag_bits,
+        classification=ClassificationStats(
+            conflict_as_conflict=cc,
+            conflict_as_capacity=c_cap,
+            capacity_as_capacity=cap_cap,
+            capacity_as_conflict=cap_c,
+        ),
+        cache=CacheStats(
+            accesses=refs,
+            hits=refs - misses,
+            misses=misses,
+            fills=misses,
+            evictions=evictions,
+        ),
+        compulsory_misses=compulsory,
+    )
+
+
 def measure_accuracy(
     addresses: Iterable[int],
     geometry: CacheGeometry,
     *,
     tag_bits: Optional[int] = None,
-    oracle: Optional[MissOracle] = None,
 ) -> AccuracyResult:
     """Measure MCT classification accuracy over a reference stream.
 
     Parameters
     ----------
     addresses:
-        Byte addresses of the data references, in program order.
+        Byte addresses of the data references, in program order (any
+        iterable of ints; the stream starts cold).
     geometry:
         The cache configuration under study (Figure 1 sweeps four of
         these; Figure 2 fixes 16KB direct-mapped).
     tag_bits:
         Stored-tag width for the MCT; None stores the complete tag.
-    oracle:
-        Ground-truth model to classify misses against; defaults to a
-        fresh simulating :class:`GroundTruthClassifier` for the
-        geometry.  Sweeps that replay one stream through several
-        equal-capacity configurations pass
-        :meth:`repro.mrc.oracle.SharedGroundTruth.oracle` instead, so
-        the fully-associative model is paid for once, not per
-        configuration.  Must be fresh (nothing classified yet) and
-        built for exactly this stream's capacity view.
 
     Returns
     -------
     AccuracyResult
         Confusion matrix plus cache-level statistics.
     """
-    mct = MissClassificationTable(geometry, tag_bits=tag_bits)
-    cache = SetAssociativeCache(geometry, name="accuracy-L1", on_evict=mct.on_evict)
-    if oracle is None:
-        oracle = GroundTruthClassifier(geometry)
-    result = AccuracyResult(geometry=geometry, tag_bits=tag_bits)
-
+    if not isinstance(addresses, np.ndarray):
+        addresses = list(addresses)
+    blocks = np.asarray(addresses, dtype=np.int64) >> geometry.offset_bits
+    n = int(len(blocks))
     ticker = sim_ticker(
         bench="accuracy",
         policy=f"mct[{'full' if tag_bits is None else tag_bits}b]",
-        refs=len(addresses) if hasattr(addresses, "__len__") else None,
+        refs=n,
         warmup=0,
     )
     if ticker is not None:
         ticker.begin()
-    every = ticker.every if ticker is not None else 0
-    processed = 0
 
-    for addr in addresses:
-        outcome = cache.lookup(addr)
-        if not outcome.hit:
-            # Classify with both models before any state is updated by
-            # this miss, then fill (which feeds the eviction to the MCT).
-            predicted = mct.classify(addr)
-            actual = oracle.classify_miss(addr)
-            result.classification.record(
-                predicted_conflict=predicted.is_conflict,
-                actual_conflict=actual.is_conflict,
-            )
-            if actual.value == "compulsory":
-                result.compulsory_misses += 1
-            cache.fill(addr)
-        oracle.observe(addr)
-        if every:
-            processed += 1
-            if processed % every == 0:
-                # Accuracy-so-far over the references seen to this point.
-                ticker.tick(
-                    processed,
-                    _accuracy_counters(result),
-                    overall_accuracy=round(result.overall_accuracy, 4),
-                    conflict_accuracy=round(result.conflict_accuracy, 4),
-                    capacity_accuracy=round(result.capacity_accuracy, 4),
-                    miss_rate=round(cache.stats.miss_rate, 4),
-                )
+    hit, evict, _, predicted = l1_pass(blocks, None, geometry, tag_bits)
+    distances = stack_distances(blocks)
+    miss = ~hit
+    cold = distances == COLD
+    actual = miss & ~cold & (distances <= geometry.num_lines)
+    rows = np.stack((
+        actual & predicted,
+        actual & ~predicted,
+        miss & ~actual & ~predicted,
+        miss & ~actual & predicted,
+        cold,
+        miss,
+        evict,
+    ))
+    result = _result_at(geometry, tag_bits, n, np.count_nonzero(rows, axis=1))
 
-    result.cache.merge(cache.stats)
     if ticker is not None:
-        ticker.finish(
-            processed if every else cache.stats.accesses,
-            _accuracy_counters(result),
-        )
+        if ticker.every > 0:
+            prefix = np.cumsum(rows, axis=1, dtype=np.int64)
+            for refs in range(ticker.every, n + 1, ticker.every):
+                # Accuracy-so-far over the references seen to this point.
+                so_far = _result_at(geometry, tag_bits, refs, prefix[:, refs - 1])
+                ticker.tick(
+                    refs,
+                    _accuracy_counters(so_far),
+                    overall_accuracy=round(so_far.overall_accuracy, 4),
+                    conflict_accuracy=round(so_far.conflict_accuracy, 4),
+                    capacity_accuracy=round(so_far.capacity_accuracy, 4),
+                    miss_rate=round(so_far.miss_rate, 4),
+                )
+        ticker.finish(n, _accuracy_counters(result))
     # Harness debug flag: validate that misses partition exactly into
     # conflict + capacity (compulsory inside capacity) before the numbers
     # can reach any table.

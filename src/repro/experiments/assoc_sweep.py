@@ -21,7 +21,6 @@ from repro.experiments.base import (
     SECTION5_SUITE,
 )
 from repro.extensions.assoc_replacement import compare_assoc_replacement
-from repro.mrc.oracle import SharedGroundTruth
 from repro.workloads.spec_analogs import build
 
 ASSOCIATIVITIES = (1, 2, 4, 8)
@@ -51,26 +50,14 @@ def run(params: ExperimentParams = DEFAULT_PARAMS) -> ExperimentResult:
     )
 
     traces = {name: build(name, params.n_refs, params.seed) for name in suite}
-    # Hill's ground truth depends only on capacity, which the whole
-    # sweep shares — one stack pass per trace prices the FA model for
-    # all four associativities instead of re-simulating it per cell.
-    shared = {
-        name: SharedGroundTruth(trace.addresses, LINE_SIZE)
-        for name, trace in traces.items()
-    }
-    capacity_lines = CAPACITY_BYTES // LINE_SIZE
     for assoc in ASSOCIATIVITIES:
         geometry = CacheGeometry(
             size=CAPACITY_BYTES, assoc=assoc, line_size=LINE_SIZE
         )
         miss = share = lru = biased = 0.0
         cf_ok = cf_all = cp_ok = cp_all = 0
-        for name, trace in traces.items():
-            acc = measure_accuracy(
-                trace.addresses,
-                geometry,
-                oracle=shared[name].oracle(capacity_lines),
-            )
+        for trace in traces.values():
+            acc = measure_accuracy(trace.addresses, geometry)
             miss += acc.miss_rate
             share += acc.conflict_fraction
             c = acc.classification

@@ -16,9 +16,9 @@ Public surface:
   :class:`~repro.mrc.decompose.ConflictSplit` — Hill's per-size
   compulsory/capacity/conflict split, consistent with
   :mod:`repro.core.ground_truth`.
-* :class:`~repro.mrc.oracle.SharedGroundTruth` /
-  :class:`~repro.mrc.oracle.StackDistanceOracle` — replay oracle that
-  lets many cache configurations share one ground-truth pass.
+
+Hill's per-miss ground truth for the accuracy figures reads the same
+stack distances directly (:func:`repro.core.accuracy.measure_accuracy`).
 """
 
 from repro.mrc.curve import (
@@ -33,7 +33,6 @@ from repro.mrc.decompose import (
     conflict_decomposition,
     decompose_size,
 )
-from repro.mrc.oracle import SharedGroundTruth, StackDistanceOracle
 from repro.mrc.sampling import (
     SampleResult,
     ShardsEstimator,
@@ -53,8 +52,6 @@ __all__ = [
     "MissRatioCurve",
     "SampleResult",
     "ShardsEstimator",
-    "SharedGroundTruth",
-    "StackDistanceOracle",
     "StackProfile",
     "brute_force_fa_misses",
     "compute_mrc",

@@ -43,8 +43,8 @@ single FA-LRU cache in Python, let alone one per probed size.
 
 The per-reference distances are retained (not just a histogram) because
 the conflict-decomposition layer (:mod:`repro.mrc.decompose`) and the
-ground-truth replay oracle (:mod:`repro.mrc.oracle`) classify
-*individual* real-cache misses against them.
+accuracy measurement (:func:`repro.core.accuracy.measure_accuracy`)
+classify *individual* real-cache misses against them.
 """
 
 from __future__ import annotations
@@ -287,8 +287,9 @@ def compute_profile(
     Addresses are reduced to line-granular block numbers with
     ``line_size`` (a power of two), exactly like
     :meth:`repro.cache.geometry.CacheGeometry.block_number`, so the
-    resulting profile is interchangeable with the ground-truth oracle's
-    view of the same stream.  Distances are bit-identical to
+    resulting profile is interchangeable with the view
+    :class:`~repro.core.ground_truth.GroundTruthClassifier` has of the
+    same stream.  Distances are bit-identical to
     :func:`compute_profile_reference` (the property tests enforce it);
     this path is the vectorised engine described in the module
     docstring.

@@ -3,11 +3,12 @@
 One :class:`TenantPipeline` owns everything a session accumulates, and
 all of it is constant-size once the session opens:
 
-* a direct-mapped resident-tag array (the L1 the tenant asked about) —
-  one slot per set;
-* the paper's :class:`~repro.core.mct.MissClassificationTable` — one
-  evicted tag per set, consulted on every miss *before* the fill, so
-  conflict vs capacity is decided exactly as the hardware would;
+* a direct-mapped L1 with the paper's MCT — per set, the resident block
+  and the block most recently evicted, carried from batch to batch
+  through the simulator's own L1 + MCT pass
+  (:func:`repro.system.vector._l1_direct_mapped_pass`), so each miss is
+  classified against the set's last victim before the fill, exactly as
+  the hardware (and the simulator) would;
 * a fixed-size :class:`~repro.mrc.ShardsEstimator` — the sampled
   fully-associative model that prices Hill's definition of the same
   split, bounded by the tenant's byte budget.
@@ -16,24 +17,23 @@ The two classifiers answer the same question from opposite sides
 (mechanism vs model), which is what makes the service's *verdict*
 trustworthy: a victim cache is recommended only when both the MCT's
 conflict share and the model-side share (actual miss rate vs the FA
-miss ratio at equal capacity, the PR-5 decomposition) say the misses
-are conflict-driven.
+miss ratio at equal capacity, per the MRC layer's decomposition) say
+the misses are conflict-driven.
 
-``feed`` is the hot path: address decomposition is vectorised with
-numpy, the residency check is a tight loop over plain ints, and only
-actual misses pay the MCT method calls.
+``feed`` is the hot path: the SHARDS feed plus one numpy L1 + MCT pass
+per batch, with no per-reference Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.core.mct import MissClassificationTable
 from repro.mrc.sampling import SampleResult, ShardsEstimator
+from repro.system.vector import _l1_direct_mapped_pass, empty_l1_state, mct_tag_mask
 
 #: Verdict thresholds.  ``victim_cache`` needs *both* classifiers to
 #: call the stream conflict-heavy: the MCT share alone can be inflated
@@ -107,10 +107,14 @@ class TenantPipeline:
         seed: int = 0,
         tag_bits: Optional[int] = None,
     ) -> None:
+        if line_size < 2:
+            # Wider lines keep every 64-bit address's block within int64.
+            raise ValueError(f"line_size must be at least 2, got {line_size}")
         self.geometry = CacheGeometry(
             size=cache_kb * 1024, assoc=1, line_size=line_size
         )
-        self.mct = MissClassificationTable(self.geometry, tag_bits)
+        mct_tag_mask(tag_bits)  # raises below one bit, as the MCT does
+        self.tag_bits = tag_bits
         self.max_blocks = max_blocks
         capacity_lines = self.geometry.num_lines
         self.estimator = ShardsEstimator(
@@ -120,8 +124,9 @@ class TenantPipeline:
             seed=seed,
         )
         self._capacity_lines = capacity_lines
-        #: Resident tag per set; -1 = invalid (no tag is negative).
-        self._resident: List[int] = [-1] * self.geometry.num_sets
+        #: Per set: the resident block and the MCT's last victim block
+        #: (-1 = empty), carried from batch to batch.
+        self._resident, self._victim = empty_l1_state(self.geometry.num_sets)
         self.refs = 0
         self.misses = 0
         self.conflict_misses = 0
@@ -136,33 +141,21 @@ class TenantPipeline:
             return 0
         arr = np.asarray(addresses, dtype=np.uint64)
         self.estimator.feed(arr)
-        geo = self.geometry
-        idx_list = ((arr >> np.uint64(geo.offset_bits)) & np.uint64(geo.num_sets - 1)).tolist()
-        tag_list = (arr >> np.uint64(geo.offset_bits + geo.index_bits)).tolist()
-        resident = self._resident
-        classify = self.mct.classify_is_conflict
-        record = self.mct.record_eviction
-        offset_index_bits = geo.offset_bits + geo.index_bits
-        misses = 0
-        conflicts = 0
-        for set_index, tag in zip(idx_list, tag_list):
-            prev = resident[set_index]
-            if prev == tag:
-                continue
-            misses += 1
-            # Classify *before* the fill updates any state, exactly as
-            # the hardware does (the MCT compares against the tag most
-            # recently evicted from this set).
-            if classify((tag << offset_index_bits) | (set_index << geo.offset_bits)):
-                conflicts += 1
-            if prev >= 0:
-                record(set_index, prev)
-            resident[set_index] = tag
-        self.refs += len(idx_list)
+        blocks = (arr >> np.uint64(self.geometry.offset_bits)).astype(np.int64)
+        (hit, _, _, conflict), (self._resident, self._victim) = (
+            _l1_direct_mapped_pass(
+                blocks, None, self.geometry, self.tag_bits,
+                self._resident, self._victim,
+            )
+        )
+        refs = int(len(blocks))
+        misses = refs - int(np.count_nonzero(hit))
+        conflicts = int(np.count_nonzero(conflict))
+        self.refs += refs
         self.misses += misses
         self.conflict_misses += conflicts
         self.capacity_misses += misses - conflicts
-        return len(idx_list)
+        return refs
 
     # ------------------------------------------------------------------
     # Queries

@@ -42,6 +42,8 @@ from repro.serve.protocol import FrameError, read_frame, write_frame
 
 #: ``query`` operations the service answers.
 QUERY_KINDS = ("conflict_share", "mrc", "verdict")
+#: Batch addresses must lie in ``[0, ADDRESS_LIMIT)``: 64-bit byte addresses.
+ADDRESS_LIMIT = 1 << 64
 
 
 class _Session:
@@ -319,6 +321,13 @@ class ConflictServer:
                 f"batch of {len(addrs)} refs exceeds max_batch_refs "
                 f"{self.config.max_batch_refs}"
             )
+        for i, addr in enumerate(addrs):
+            # Exact ints only: bools, floats and strings are not
+            # addresses, and numpy would coerce or overflow on them.
+            if type(addr) is not int or not 0 <= addr < ADDRESS_LIMIT:
+                raise FrameError(
+                    f"addrs[{i}] must be an integer in [0, 2**64), got {addr!r}"
+                )
         # The injected-crash hook sits *before* processing: a fault here
         # means the batch event is never emitted, so the stream stays
         # consistent whether the kind is an exception (session closes

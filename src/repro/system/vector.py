@@ -22,22 +22,23 @@ built from the same Mattson machinery as the L2 pass.
 Pass structure
 --------------
 
-1. **Partition** — one stable argsort of the trace by L1 set index.
-   Each set's reference subsequence is then a contiguous, in-order
-   segment of the sorted stream, and all per-set state (the resident
-   tags, the lines' dirty bits, the MCT entry) becomes expressible as
-   shifted comparisons and prefix sums within segments.  Direct-mapped
-   (``assoc == 1``):
+1. **L1 + MCT** (:func:`l1_pass`) — one stable argsort of the trace by
+   L1 set index.  Each set's reference subsequence is then a contiguous,
+   in-order segment of the sorted stream, and all per-set state (the
+   resident tags, the lines' dirty bits, the MCT entry) becomes
+   expressible as shifted comparisons and prefix sums within segments.
+   Direct-mapped (``assoc == 1``, :func:`_l1_direct_mapped_pass`), with
+   each set's resident block and last victim carried in (-1 = empty):
 
-   * hit ⇔ same block as the previous reference in the segment;
-   * eviction ⇔ miss that is not the segment's first reference;
+   * hit ⇔ same block as the previous reference in the segment (the
+     carried resident, at the segment's start);
+   * eviction ⇔ miss that found a valid block;
    * writeback ⇔ eviction whose victim saw a write since its own fill
-     (a windowed sum over a global write-flag cumsum);
-   * MCT conflict ⇔ the paper's evicted-tag match, which in a
-     direct-mapped set reduces to ``stored_tag(miss k) ==
-     stored_tag(miss k-2)`` — at the set's k-th miss the MCT holds the
-     tag installed by miss k-1's eviction, i.e. the block miss k-2
-     brought in.
+     (a windowed sum over a global write-flag cumsum; whole-trace runs
+     only);
+   * MCT conflict ⇔ the paper's evicted-tag match: at a set's first
+     miss the entry is the carried victim, after that the block the
+     set's previous miss evicted.
 
    Set-associative (``assoc > 1``, :func:`_l1_set_assoc_pass`): hits
    and evictions come from the shared set-LRU pass
@@ -137,51 +138,56 @@ def vector_supported(policy: AssistConfig, machine: MachineConfig) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Pass 1: the direct-mapped L1 + MCT, per set
+# Pass 1: the L1 + MCT, per set
 # ----------------------------------------------------------------------
 def _l1_direct_mapped_pass(
     blocks: "np.ndarray",
-    writes: "np.ndarray",
+    writes: "Optional[np.ndarray]",
     geometry: CacheGeometry,
-    policy: AssistConfig,
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
-    """Per-reference (hit, eviction, writeback, MCT-conflict) flags.
+    tag_bits: Optional[int],
+    resident: "np.ndarray",
+    victim: "np.ndarray",
+) -> Tuple[L1Flags, Tuple["np.ndarray", "np.ndarray"]]:
+    """Direct-mapped L1 + MCT flags for one chunk, resumable.
 
-    All four arrays are in trace order and cover the full trace (warmup
-    included — the caches and MCT warm up exactly as in the scalar
-    engine; the caller slices the measured window afterwards).
+    ``resident`` and ``victim`` carry each set's resident block and the
+    block it most recently evicted (-1 = empty) in from the previous
+    chunk; the updated pair is returned beside the trace-order flags.
+    ``writes=None`` yields no writebacks.  The writeback algebra assumes
+    a cold start, so only a whole-trace run (the simulator's) passes
+    writes.
     """
     n = int(len(blocks))
+    mask = mct_tag_mask(tag_bits)
     sets = blocks & (geometry.num_sets - 1)
     order = np.argsort(sets, kind="stable")
     b = blocks[order]
     s = sets[order]
-    w = writes[order]
 
     # Segment starts: the first reference of each set's subsequence.
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
+    seg_start = np.ones(n, dtype=bool)
     np.not_equal(s[1:], s[:-1], out=seg_start[1:])
 
-    # Direct-mapped: a hit is a repeat of the immediately preceding
-    # block in the same set; every miss fills; a miss that is not the
-    # segment's first reference evicts the resident line.
-    hit_s = np.zeros(n, dtype=bool)
-    np.equal(b[1:], b[:-1], out=hit_s[1:])
-    hit_s &= ~seg_start
+    # The block each reference finds in its set: whatever the segment's
+    # previous reference touched, or the carried resident at the
+    # segment's start.  Finding its own block is a hit; a miss evicts
+    # the valid block it found.
+    found = np.empty(n, dtype=np.int64)
+    found[1:] = b[:-1]
+    found[seg_start] = resident[s[seg_start]]
+    hit_s = b == found
     miss_s = ~hit_s
-    evict_s = miss_s & ~seg_start
+    evict_s = miss_s & (found >= 0)
 
     # Writeback ⇔ the victim is dirty: it was filled by a write miss or
-    # written by a hit afterwards.  The victim of the eviction at sorted
-    # position i was filled at f = the previous miss in the segment, and
-    # every position in [f, i-1] references the victim's set (segments
-    # are contiguous) and the victim's block (they are hits on it, save
-    # f itself) — so "dirty" is "any write flag in [f, i-1]", a windowed
-    # sum over one global cumsum.
+    # written by a hit afterwards.  From a cold start, the victim of the
+    # eviction at sorted position i was filled at f = the previous miss
+    # in the segment, and every position in [f, i-1] references the
+    # victim's set and block — so "dirty" is "any write flag in
+    # [f, i-1]", a windowed sum over one global cumsum.
     wb_s = np.zeros(n, dtype=bool)
-    if n > 1:
-        w64 = w.astype(np.int64)
+    if writes is not None and n > 1:
+        w64 = writes[order].astype(np.int64)
         wcum = np.cumsum(w64)
         positions = np.arange(n, dtype=np.int64)
         last_miss = np.maximum.accumulate(np.where(miss_s, positions, -1))
@@ -190,64 +196,69 @@ def _l1_direct_mapped_pass(
         wb_s[1:] = (wcum[:-1] - writes_before_fill) > 0
         wb_s &= evict_s
 
-    # MCT: at classify time of the set's k-th miss the table holds the
-    # tag installed by miss k-1's eviction — the block miss k-2 filled —
-    # so conflict ⇔ stored_tag(k) == stored_tag(k-2).  Misses of one set
-    # are contiguous in the sorted stream's miss subsequence, so the
-    # same-set guard is one shifted compare; k >= 2 within the set is
-    # implied by it.
-    miss_positions = np.flatnonzero(miss_s)
-    miss_tags = b[miss_positions] >> geometry.index_bits
-    tag_bits = policy.mct_tag_bits
-    if tag_bits is not None and tag_bits < 63:
-        # Partial tags: compare only the stored low bits.  (>= 63 bits
-        # would overflow int64 and cannot truncate a non-negative int64
-        # tag anyway — the mask is then a no-op, as with full tags.)
-        miss_tags = miss_tags & np.int64((1 << tag_bits) - 1)
-    miss_sets = s[miss_positions]
-    conflict_m = np.zeros(len(miss_positions), dtype=bool)
-    if len(miss_positions) > 2:
-        conflict_m[2:] = (miss_sets[2:] == miss_sets[:-2]) & (
-            miss_tags[2:] == miss_tags[:-2]
-        )
+    # MCT, classified before the fill: at a set's first miss in the
+    # chunk the entry is the carried victim; after that it is the block
+    # the set's previous miss evicted.  (A miss that evicted nothing
+    # found its set empty, so the carried victim was empty too.)  The
+    # misses of one set are contiguous in the sorted stream.
+    miss_pos = np.flatnonzero(miss_s)
+    probe = b[miss_pos]
+    evicted = found[miss_pos]
+    miss_sets = s[miss_pos]
+    first_miss = np.ones(len(miss_pos), dtype=bool)
+    np.not_equal(miss_sets[1:], miss_sets[:-1], out=first_miss[1:])
+    entry = np.empty(len(miss_pos), dtype=np.int64)
+    entry[1:] = evicted[:-1]
+    entry[first_miss] = victim[miss_sets[first_miss]]
+    if mask is None:
+        # Same set, so equal blocks ⇔ equal tags; -1 matches no block.
+        match = entry == probe
+    else:
+        entry_tags = (entry >> geometry.index_bits) & mask
+        probe_tags = (probe >> geometry.index_bits) & mask
+        match = (entry >= 0) & (entry_tags == probe_tags)
     conflict_s = np.zeros(n, dtype=bool)
-    conflict_s[miss_positions] = conflict_m
+    conflict_s[miss_pos] = match
 
-    # Scatter every flag back to trace order.
-    hit = np.empty(n, dtype=bool)
-    evict = np.empty(n, dtype=bool)
-    wb = np.empty(n, dtype=bool)
-    conflict = np.empty(n, dtype=bool)
-    hit[order] = hit_s
-    evict[order] = evict_s
-    wb[order] = wb_s
-    conflict[order] = conflict_s
-    return hit, evict, wb, conflict
+    # Carry out: each set's last block, and the victim of its last miss
+    # when that miss evicted (otherwise the carried victim stands).
+    seg_end = np.ones(n, dtype=bool)
+    seg_end[:-1] = seg_start[1:]
+    new_resident = resident.copy()
+    new_resident[s[seg_end]] = b[seg_end]
+    last_evict = np.ones(len(miss_pos), dtype=bool)
+    last_evict[:-1] = first_miss[1:]
+    last_evict &= evicted >= 0
+    new_victim = victim.copy()
+    new_victim[miss_sets[last_evict]] = evicted[last_evict]
+
+    flags = _unsort(order, hit_s, evict_s, wb_s, conflict_s)
+    return flags, (new_resident, new_victim)
 
 
 def _l1_set_assoc_pass(
     blocks: "np.ndarray",
-    writes: "np.ndarray",
+    writes: "Optional[np.ndarray]",
     geometry: CacheGeometry,
-    policy: AssistConfig,
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
-    """The general-associativity form of :func:`_l1_direct_mapped_pass`.
+    tag_bits: Optional[int],
+) -> L1Flags:
+    """The general-associativity, whole-trace L1 + MCT pass.
 
-    Same contract — trace-order (hit, eviction, writeback, MCT-conflict)
-    flags over the full trace — for any power-of-two ``assoc``.  Hits
-    and evictions come from the shared set-LRU pass; victim identities
-    from the deaths-FIFO pairing (module docstring); dirty bits from
-    per-block write cumsums between each residency's fill and its death.
-    At ``assoc == 1`` this reproduces the direct-mapped pass exactly
-    (pinned by a test), but the shift-compare fast path stays the
-    dispatch choice there — it needs no stack-distance pass.
+    Same flags as :func:`_l1_direct_mapped_pass` from a cold start, for
+    any power-of-two ``assoc``.  Hits and evictions come from the shared
+    set-LRU pass; victim identities from the deaths-FIFO pairing (module
+    docstring); dirty bits from per-block write cumsums between each
+    residency's fill and its death.  At ``assoc == 1`` this reproduces
+    the direct-mapped pass exactly (pinned by a test), but the
+    shift-compare pass stays the dispatch choice there — it needs no
+    stack-distance pass.
     """
     n = int(len(blocks))
+    mask = mct_tag_mask(tag_bits)
     sets = blocks & (geometry.num_sets - 1)
     order = np.argsort(sets, kind="stable")
     b = blocks[order]
     s = sets[order]
-    w = writes[order]
 
     hit_s, evict_s = set_lru_flags(b, s, geometry.assoc)
     miss_s = ~hit_s
@@ -270,8 +281,7 @@ def _l1_set_assoc_pass(
     evict_pos = np.flatnonzero(evict_s)
     if len(evict_pos):
         positions = np.arange(n, dtype=np.int64)
-        seg_start = np.empty(n, dtype=bool)
-        seg_start[0] = True
+        seg_start = np.ones(n, dtype=bool)
         np.not_equal(s[1:], s[:-1], out=seg_start[1:])
         seg_first = np.maximum.accumulate(np.where(seg_start, positions, 0))
 
@@ -286,20 +296,22 @@ def _l1_set_assoc_pass(
         rank = evict_before[evict_pos] - evict_before[seg_first[evict_pos]]
         victim_pos = death_idx[dead_before[seg_first[evict_pos]] + rank]
 
-        # Victim dirty ⇔ a write touched it between its residency's fill
-        # and its death.  In block-run order every residency starts with
-        # a miss (runs open with a cold miss), so the fill-anchor
-        # accumulate below can never leak across a run boundary.
-        w_run = w[run_order].astype(np.int64)
-        m_run = miss_s[run_order]
-        wcum_run = np.cumsum(w_run)
-        anchor = np.maximum.accumulate(
-            np.where(m_run, np.arange(n, dtype=np.int64), -1)
-        )
-        dirty_run = (wcum_run - wcum_run[anchor] + w_run[anchor]) > 0
-        dirty_at = np.empty(n, dtype=bool)
-        dirty_at[run_order] = dirty_run
-        wb_s[evict_pos] = dirty_at[victim_pos]
+        if writes is not None:
+            # Victim dirty ⇔ a write touched it between its residency's
+            # fill and its death.  In block-run order every residency
+            # starts with a miss (runs open with a cold miss), so the
+            # fill-anchor accumulate below can never leak across a run
+            # boundary.
+            w_run = writes[order][run_order].astype(np.int64)
+            m_run = miss_s[run_order]
+            wcum_run = np.cumsum(w_run)
+            anchor = np.maximum.accumulate(
+                np.where(m_run, np.arange(n, dtype=np.int64), -1)
+            )
+            dirty_run = (wcum_run - wcum_run[anchor] + w_run[anchor]) > 0
+            dirty_at = np.empty(n, dtype=bool)
+            dirty_at[run_order] = dirty_run
+            wb_s[evict_pos] = dirty_at[victim_pos]
 
         # MCT: at classify time of a miss the set's entry holds the
         # (masked) tag of the set's most recent earlier eviction — the
@@ -308,11 +320,7 @@ def _l1_set_assoc_pass(
         victim_tags = b[victim_pos] >> geometry.index_bits
         miss_pos = np.flatnonzero(miss_s)
         probe_tags = b[miss_pos] >> geometry.index_bits
-        tag_bits = policy.mct_tag_bits
-        if tag_bits is not None and tag_bits < 63:
-            # Same partial-tag rule as the direct-mapped pass: >= 63
-            # bits cannot truncate a non-negative int64 tag.
-            mask = np.int64((1 << tag_bits) - 1)
+        if mask is not None:
             victim_tags = victim_tags & mask
             probe_tags = probe_tags & mask
         prior = evict_before[miss_pos]
@@ -323,15 +331,7 @@ def _l1_set_assoc_pass(
         )
         conflict_s[miss_pos[match]] = True
 
-    hit = np.empty(n, dtype=bool)
-    evict = np.empty(n, dtype=bool)
-    wb = np.empty(n, dtype=bool)
-    conflict = np.empty(n, dtype=bool)
-    hit[order] = hit_s
-    evict[order] = evict_s
-    wb[order] = wb_s
-    conflict[order] = conflict_s
-    return hit, evict, wb, conflict
+    return _unsort(order, hit_s, evict_s, wb_s, conflict_s)
 
 
 # ----------------------------------------------------------------------
@@ -577,11 +577,11 @@ def simulate_vector(
     blocks = trace.addresses >> geometry.offset_bits
     writes = np.logical_not(trace.is_load)
 
-    l1_pass = (
-        _l1_direct_mapped_pass if geometry.assoc == 1 else _l1_set_assoc_pass
-    )
+    # Pass 1 covers the whole trace, warmup included: the caches and the
+    # MCT warm up exactly as in the scalar engine, and the measured
+    # window is sliced off below.
     l1_hit, l1_evict, l1_wb, conflict = l1_pass(
-        blocks, writes, geometry, policy
+        blocks, writes, geometry, policy.mct_tag_bits
     )
     l1_miss = np.logical_not(l1_hit)
     l2_hit_at, l2_evict_at = _l2_pass(blocks, l1_miss, machine.l2)
@@ -636,3 +636,75 @@ def simulate_vector(
 
     maybe_check_system(stats, issue_rate=machine.timing.issue_rate)
     return stats
+
+
+# ----------------------------------------------------------------------
+# The L1 + MCT pass as a library
+# ----------------------------------------------------------------------
+# Pass 1 is the package's one implementation of the paper's "compare
+# the missing tag with the set's last victim, before the fill": the
+# simulator runs it over the whole trace,
+# :func:`repro.core.accuracy.measure_accuracy` runs it once per stream,
+# and the service (:mod:`repro.serve.pipeline`) resumes the
+# direct-mapped form batch by batch.
+
+#: Per-reference (hit, eviction, writeback, MCT-conflict) flags.
+L1Flags = Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]
+
+
+def mct_tag_mask(tag_bits: Optional[int]) -> Optional[int]:
+    """The MCT's stored-tag mask, or ``None`` when it compares whole tags.
+
+    Raises ``ValueError`` below one bit, as
+    :class:`~repro.core.mct.MissClassificationTable` does.  Widths of 63
+    bits or more cannot truncate a non-negative int64 tag, so they
+    compare whole tags, like ``None``.
+    """
+    if tag_bits is not None and tag_bits < 1:
+        raise ValueError(f"tag_bits must be >= 1 or None, got {tag_bits}")
+    if tag_bits is None or tag_bits >= 63:
+        return None
+    return (1 << tag_bits) - 1
+
+
+def empty_l1_state(num_sets: int) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Cold direct-mapped state: (resident block, last victim) per set, -1 = empty."""
+    return (
+        np.full(num_sets, -1, dtype=np.int64),
+        np.full(num_sets, -1, dtype=np.int64),
+    )
+
+
+def _unsort(order: "np.ndarray", *sorted_flags: "np.ndarray") -> L1Flags:
+    """Scatter the four set-sorted flag arrays back to trace order."""
+    out = []
+    for flags in sorted_flags:
+        restored = np.empty(len(order), dtype=bool)
+        restored[order] = flags
+        out.append(restored)
+    hit, evict, wb, conflict = out
+    return hit, evict, wb, conflict
+
+
+def l1_pass(
+    blocks: "np.ndarray",
+    writes: "Optional[np.ndarray]",
+    geometry: CacheGeometry,
+    tag_bits: Optional[int],
+) -> L1Flags:
+    """Whole-stream L1 + MCT flags from a cold cache, at any associativity.
+
+    ``blocks`` are int64 block numbers in trace order; ``writes`` marks
+    stores (``None``: a read-only stream, no writebacks).  The flags
+    cover the whole stream, warmup included — the simulator slices its
+    measured window afterwards.  The simulator and
+    :func:`repro.core.accuracy.measure_accuracy` call this; the service
+    resumes :func:`_l1_direct_mapped_pass` batch by batch instead.
+    """
+    if geometry.assoc == 1:
+        flags, _ = _l1_direct_mapped_pass(
+            blocks, writes, geometry, tag_bits,
+            *empty_l1_state(geometry.num_sets),
+        )
+        return flags
+    return _l1_set_assoc_pass(blocks, writes, geometry, tag_bits)

@@ -2,11 +2,15 @@
 
 These run with very small traces — they check plumbing and the *shape*
 of each result (who wins, in which direction), not the committed numbers.
+The one exception is :class:`TestAccuracyTablesPinned`, which pins the
+accuracy tables byte for byte at small fixed parameters.
 """
+
+import hashlib
 
 import pytest
 
-from repro.experiments import fig1_accuracy, fig2_tag_bits, fig3_victim
+from repro.experiments import assoc_sweep, fig1_accuracy, fig2_tag_bits, fig3_victim
 from repro.experiments import fig4_prefetch, fig5_exclusion, fig6_amb
 from repro.experiments import fig7_amb_hits, sec54_pseudo, table1_victim
 from repro.experiments.base import (
@@ -55,6 +59,35 @@ class TestFramework:
         text = format_result(r)
         assert "Title" in text and "gcc" in text and "1.23" in text
         assert "note: a note" in text
+
+
+class TestAccuracyTablesPinned:
+    """Figures 1-2 and the associativity sweep, byte for byte.
+
+    The digests were computed from the per-reference accuracy loop
+    (set-LRU cache + MCT + simulating fully-associative oracle) that
+    the vectorised pass replaced, so any drift in the shared L1 pass,
+    the stack-distance ground truth or the table formatting fails here.
+    """
+
+    PARAMS = ExperimentParams(
+        n_refs=6_000, warmup=0, suite=["tomcatv", "gcc", "compress", "li"]
+    )
+    DIGESTS = {
+        "fig1": "1f5afbdfe06488442e97743a41e019ccd7bad502566120d32eb27d24e2bafdd5",
+        "fig2": "f1d98320556b651b4e1478edc66ec82514eb8539b20e87f9fc294f6fd311ec59",
+        "assoc": "83f2d1ad9970be93b4c2c13f25d29f41914eac06f444fae6af862d5157dc591f",
+    }
+
+    @pytest.mark.parametrize(
+        "experiment", [fig1_accuracy, fig2_tag_bits, assoc_sweep],
+        ids=["fig1", "fig2", "assoc"],
+    )
+    def test_table_digest(self, experiment):
+        result = experiment.run(self.PARAMS)
+        text = format_result(result)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.DIGESTS[result.experiment_id], text
 
 
 class TestFig1:

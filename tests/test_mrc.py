@@ -7,8 +7,7 @@ The contract, from strongest to weakest:
   simulating a fully-associative LRU cache at every probed size;
 * the conflict decomposition reproduces the simulating
   :class:`~repro.core.ground_truth.GroundTruthClassifier`
-  count-for-count, and the shared replay oracle is a drop-in for it in
-  :func:`~repro.core.accuracy.measure_accuracy`;
+  count-for-count;
 * SHARDS sampling is deterministic from its seed and lands within the
   documented tolerance at the documented operating point (fixed-size
   1024 blocks).
@@ -23,13 +22,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.geometry import CacheGeometry
-from repro.core.accuracy import measure_accuracy
 from repro.core.ground_truth import GroundTruthClassifier
 from repro.mrc import (
     COLD,
     ShardsEstimator,
-    SharedGroundTruth,
-    StackDistanceOracle,
     brute_force_fa_misses,
     compute_mrc,
     compute_profile,
@@ -196,32 +192,6 @@ class TestDecomposition:
             decompose_size([1, 2, 3], profile, size_lines=6, assoc=4)
         with pytest.raises(ValueError):
             decompose_size([1, 2, 3], profile, size_lines=12, assoc=1)
-
-
-# ----------------------------------------------------------------------
-# Shared replay oracle == per-configuration GroundTruthClassifier
-# ----------------------------------------------------------------------
-class TestSharedOracle:
-    def test_measure_accuracy_identical_with_oracle(self):
-        trace = build("compress", 15_000, seed=0)
-        geometry = CacheGeometry(size=16 * 1024, assoc=2, line_size=LINE)
-        shared = SharedGroundTruth(trace.addresses, LINE)
-
-        baseline = measure_accuracy(trace.addresses, geometry)
-        replayed = measure_accuracy(
-            trace.addresses,
-            geometry,
-            oracle=shared.oracle(geometry.size // LINE),
-        )
-        assert replayed == baseline
-
-    def test_oracle_refuses_overrun(self):
-        oracle = StackDistanceOracle(
-            compute_profile(addresses_from_blocks([1]), LINE), 4
-        )
-        oracle.observe(LINE)
-        with pytest.raises(IndexError):
-            oracle.classify_miss(LINE)
 
 
 # ----------------------------------------------------------------------

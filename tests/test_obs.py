@@ -274,23 +274,45 @@ class TestSimTicker:
     def test_accuracy_ticker_reconciles(self, tmp_path):
         from repro.cache.geometry import CacheGeometry
         from repro.core.accuracy import measure_accuracy
+        from test_ground_truth_and_accuracy import reference_accuracy
 
-        path = tmp_path / "events.jsonl"
-        trace = build("gcc", 3_000, 0)
-        obs_events.activate(
-            ObsConfig(events_path=str(path), heartbeat_every=700)
-        )
-        measure_accuracy(
-            trace.addresses.tolist(), CacheGeometry(size=16 * 1024, assoc=1)
-        )
-        obs_events.deactivate()
-        events, problems = validate_lines(path.read_text().splitlines())
-        assert problems == []
-        assert reconcile_events(events) == (1, [])
-        (start,) = [e for e in events if e["type"] == "sim_start"]
-        assert start["bench"] == "accuracy"
-        beats = [e for e in events if e["type"] == "heartbeat"]
-        assert beats and all(0.0 <= b["overall_accuracy"] <= 100.0 for b in beats)
+        addrs = build("gcc", 3_000, 0).addresses.tolist()
+        for assoc, tag_bits in ((1, None), (2, 4)):
+            geometry = CacheGeometry(size=16 * 1024, assoc=assoc)
+            path = tmp_path / f"events-{assoc}.jsonl"
+            obs_events.activate(
+                ObsConfig(events_path=str(path), heartbeat_every=700)
+            )
+            measure_accuracy(addrs, geometry, tag_bits=tag_bits)
+            obs_events.deactivate()
+            events, problems = validate_lines(path.read_text().splitlines())
+            assert problems == []
+            assert reconcile_events(events) == (1, [])
+            (start,) = [e for e in events if e["type"] == "sim_start"]
+            assert start["bench"] == "accuracy"
+            beats = [e for e in events if e["type"] == "heartbeat"]
+            assert beats and all(
+                0.0 <= b["overall_accuracy"] <= 100.0 for b in beats
+            )
+            # The deltas replayed up to each beat are exactly the
+            # per-reference loop's counters after the same reference.
+            _, expected = reference_accuracy(addrs, geometry, tag_bits, every=700)
+            assert [b["refs_done"] for b in beats] == [
+                700 * k for k in range(1, len(expected) + 1)
+            ]
+            replayed, state, last = [], {}, None
+            for e in events:
+                if e["type"] == "counters":
+                    state = accumulate_deltas([state, e["delta"]])
+                    if last == "heartbeat":
+                        replayed[-1] = state
+                elif e["type"] == "heartbeat":
+                    replayed.append(state)
+                last = e["type"]
+            assert replayed == [
+                {k: v for k, v in flatten_counters(c).items() if v}
+                for c in expected
+            ]
 
 
 # ----------------------------------------------------------------------

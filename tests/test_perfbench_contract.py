@@ -1,0 +1,67 @@
+"""The benchmark's attribute contract with the package.
+
+``perfbench/tracing.py`` times a layer by replacing a module or class
+attribute by name, and ``perfbench/selftest.py`` slows the same
+attributes to check that each slowdown shows up in the right layer.  A
+refactor that moves or renames one of those attributes would silently
+drop its span, so this test resolves every entry of the ``WRAPPED``
+table and checks the one call path the self-test leans on hardest:
+both L1 and L2 passes reach ``set_lru_flags`` through the
+``repro.system.vector`` module global.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from repro.system import vector
+from repro.system.config import PAPER_MACHINE
+from repro.system.policies import BASELINE
+from repro.workloads.spec_analogs import build
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_wrapped_table():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WRAPPED
+
+
+#: Span name -> (module, attribute path), read from the benchmark itself.
+WRAPPED = _load_wrapped_table()
+
+
+@pytest.mark.parametrize("span", sorted(WRAPPED))
+def test_wrapped_attribute_resolves(span):
+    module_name, path = WRAPPED[span]
+    owner = importlib.import_module(module_name)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner), span
+
+
+def test_both_vector_passes_call_set_lru_flags_through_the_module(monkeypatch):
+    calls = []
+    original = vector.set_lru_flags
+
+    def counting(blocks, sets, assoc):
+        calls.append((len(blocks), assoc))
+        return original(blocks, sets, assoc)
+
+    monkeypatch.setattr(vector, "set_lru_flags", counting)
+    machine = replace(PAPER_MACHINE, l1=replace(PAPER_MACHINE.l1, assoc=2))
+    trace = build("gcc", 3_000, 0)
+    stats = vector.simulate_vector(trace, BASELINE, machine)
+    # The L1 pass sees every reference; the L2 pass sees the L1 misses.
+    assert calls == [
+        (len(trace), machine.l1.assoc),
+        (stats.l1.misses, machine.l2.assoc),
+    ]

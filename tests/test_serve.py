@@ -18,6 +18,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.mct import MissClassificationTable
@@ -120,11 +122,24 @@ class TestBudget:
 # ----------------------------------------------------------------------
 # Pipeline
 # ----------------------------------------------------------------------
+#: Block numbers for a 1 KB (16-set) pipeline: mostly 16 tags over 4
+#: sets, so streams collide, revisit and alias under partial tags; the
+#: rest reach the top of the 64-bit address space.
+PIPELINE_BLOCKS = st.one_of(
+    st.builds(
+        lambda tag, set_index: tag * 16 + set_index,
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=0, max_value=3),
+    ),
+    st.integers(min_value=0, max_value=(1 << 58) - 1),
+)
+
+
 class TestPipeline:
-    def _reference_counts(self, addrs, cache_kb=16, line_size=64):
+    def _reference_counts(self, addrs, cache_kb=16, line_size=64, tag_bits=None):
         """Straight-line reimplementation: DM cache + MCT, no batching."""
         geo = CacheGeometry(size=cache_kb * 1024, assoc=1, line_size=line_size)
-        mct = MissClassificationTable(geo)
+        mct = MissClassificationTable(geo, tag_bits)
         resident = [-1] * geo.num_sets
         misses = conflicts = 0
         for addr in addrs:
@@ -158,6 +173,48 @@ class TestPipeline:
             chunked.feed(addrs[start : start + 613])
         assert chunked.snapshot() == one.snapshot()
         assert chunked.mrc() == one.mrc()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        blocks=st.one_of(
+            st.lists(PIPELINE_BLOCKS, max_size=8),
+            st.lists(PIPELINE_BLOCKS, min_size=40, max_size=300),
+        ),
+        sizes=st.lists(st.integers(min_value=0, max_value=40), max_size=20),
+        tag_bits=st.one_of(st.none(), st.integers(min_value=1, max_value=16)),
+    )
+    def test_random_chunking_equals_single_batch_and_reference(
+        self, blocks, sizes, tag_bits
+    ):
+        # The carried per-set state (resident block, last victim) must
+        # make any chunking — empty and one-ref batches included — count
+        # exactly what one batch and the straight-line loop count.
+        addrs = [block * 64 + block % 64 for block in blocks]
+        one = TenantPipeline(cache_kb=1, max_blocks=64, tag_bits=tag_bits)
+        one.feed(addrs)
+        chunked = TenantPipeline(cache_kb=1, max_blocks=64, tag_bits=tag_bits)
+        start = 0
+        for size in sizes:
+            chunked.feed(addrs[start : start + size])
+            start += size
+        chunked.feed(addrs[start:])
+        assert chunked.snapshot() == one.snapshot()
+        misses, conflicts = self._reference_counts(
+            addrs, cache_kb=1, tag_bits=tag_bits
+        )
+        assert (one.refs, one.misses, one.conflict_misses) == (
+            len(addrs),
+            misses,
+            conflicts,
+        )
+
+    def test_bad_geometry_and_tag_bits_raise(self):
+        # The MCT's own check (tag_bits >= 1) and the int64 block range
+        # (line_size >= 2) are enforced when the session is built.
+        with pytest.raises(ValueError, match="tag_bits"):
+            TenantPipeline(tag_bits=0)
+        with pytest.raises(ValueError, match="line_size"):
+            TenantPipeline(line_size=1)
 
     def test_conflict_stream_gets_victim_cache_verdict(self):
         # Two tags ping-ponging in one set: every miss after the first
@@ -310,6 +367,49 @@ class TestServer:
             assert not bad_geo["ok"]
             w2.close()
             w.close()
+            await server.stop()
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "bad",
+        [-1, 1 << 64, None, 1.5, True, "7"],
+        ids=["negative", "2**64", "null", "float", "bool", "string"],
+    )
+    def test_bad_address_gets_error_frame_and_reconciles(self, tmp_path, bad):
+        path = tmp_path / "ev.jsonl"
+
+        async def scenario():
+            events.activate(ObsConfig(events_path=str(path)))
+            try:
+                server = ConflictServer(self._config(tmp_path))
+                await server.start()
+                r, w = await _client(server.config.socket_path)
+                assert (await _rpc(r, w, {"op": "open", "tenant": "t"}))["ok"]
+                reply = await _rpc(r, w, {"op": "batch", "addrs": [64, bad]})
+                assert not reply["ok"] and "addrs[1]" in reply["error"]
+                w.close()
+                await server.stop()
+            finally:
+                events.deactivate()
+
+        run(scenario())
+        lines, _ = split_torn_tail(path.read_text())
+        parsed, problems = validate_lines(lines)
+        assert not problems
+        assert reconcile_events(parsed) == (1, [])
+        (close,) = [e for e in parsed if e["type"] == "session_close"]
+        assert close["reason"] == "error" and close["refs"] == 0
+
+    def test_zero_tag_bits_open_refused(self, tmp_path):
+        async def scenario():
+            server = ConflictServer(self._config(tmp_path))
+            await server.start()
+            r, w = await _client(server.config.socket_path)
+            opened = await _rpc(r, w, {"op": "open", "tenant": "t", "tag_bits": 0})
+            assert not opened["ok"] and "tag_bits" in opened["error"]
+            w.close()
+            assert server.live_sessions() == 0
             await server.stop()
 
         run(scenario())

@@ -140,23 +140,29 @@ class TestByteIdentity:
         assert canon(vector) == canon(scalar)
 
     def test_general_pass_subsumes_direct_mapped(self):
-        # At assoc == 1 the deaths-FIFO pass and the shift-compare fast
-        # path must produce identical flag arrays — the dispatch choice
-        # between them is purely a performance decision.
+        # At assoc == 1 the deaths-FIFO pass and the direct-mapped pass
+        # from empty state must produce identical flag arrays — the
+        # dispatch choice between them is purely a performance decision.
         import numpy as np
 
         from repro.system.vector import (
             _l1_direct_mapped_pass,
             _l1_set_assoc_pass,
+            empty_l1_state,
         )
 
+        geometry = PAPER_MACHINE.l1
         trace = build("gcc", 5_000, 1)
-        blocks = trace.addresses >> PAPER_MACHINE.l1.offset_bits
+        blocks = trace.addresses >> geometry.offset_bits
         writes = np.logical_not(trace.is_load)
-        dm = _l1_direct_mapped_pass(blocks, writes, PAPER_MACHINE.l1, BASELINE)
-        general = _l1_set_assoc_pass(blocks, writes, PAPER_MACHINE.l1, BASELINE)
-        for name, a, b in zip(("hit", "evict", "wb", "conflict"), dm, general):
-            assert np.array_equal(a, b), name
+        for tag_bits in (None, 3):
+            dm, _ = _l1_direct_mapped_pass(
+                blocks, writes, geometry, tag_bits,
+                *empty_l1_state(geometry.num_sets),
+            )
+            general = _l1_set_assoc_pass(blocks, writes, geometry, tag_bits)
+            for name, a, b in zip(("hit", "evict", "wb", "conflict"), dm, general):
+                assert np.array_equal(a, b), (name, tag_bits)
 
 
 class TestEngineDispatch:
