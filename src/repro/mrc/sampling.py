@@ -46,51 +46,79 @@ additionally carries the usual SHARDS caveat that references sampled
 **Incremental feeding** (the online-service form): the whole pass lives
 in a :class:`ShardsEstimator`, which accepts the stream in arbitrary
 chunks through :meth:`~ShardsEstimator.feed` and snapshots the current
-curve through :meth:`~ShardsEstimator.result` at any point.  Feeding a
-trace in chunks is *exactly* equivalent to one batch call — not merely
-statistically: the estimator's Fenwick tree indexes sampled positions
-and is periodically *compacted* (live positions renumbered in order,
-dead ones dropped), which preserves every interval count the distance
-estimate reads, so the chunking can never change a single weight.
-Compaction is also what bounds memory: in fixed-size mode the live
-position set never exceeds ``max_blocks``, so the tree, the eviction
-heap and the hash memo all stay within a constant footprint no matter
-how long the stream runs — the property the multi-tenant service
-(:mod:`repro.serve`) leans on for its per-tenant byte budget.
-:func:`sampled_curve` remains the one-shot convenience wrapper.
+curve through :meth:`~ShardsEstimator.result` at any point.  Each chunk
+is hashed in numpy (:func:`hash_blocks`).  The threshold never rises,
+so masking ``hash < T`` at chunk start drops only references the pass
+would skip anyway; the candidates that remain enter the Python loop,
+which re-checks each against the live threshold.  The
+sampled LRU stack is a sorted list of the live blocks' last sampled
+positions: a warm reference's sample-domain distance is the count of
+positions after its previous one, plus one, read with one ``bisect``.
+Positions are never renumbered, so feeding a trace in chunks is
+*exactly* equivalent to one batch call, weight for weight.  In
+fixed-size mode the live-block map, the position list and the eviction
+heap each hold exactly the sampled blocks, so state stays within
+``3 × max_blocks`` entries no matter how long the stream runs — the
+property the multi-tenant service (:mod:`repro.serve`) leans on for its
+per-tenant byte budget.  :func:`sampled_curve` remains the one-shot
+convenience wrapper.
 
-Determinism: sampling uses only :func:`hash_block` — a seeded
-splitmix64 finalizer — never an RNG, the OS entropy pool, or the wall
-clock, so a (trace, seed) pair always yields the same curve.
+**Cost model**: per warm sampled reference, two C-level bisects and one
+``del``, a memmove of O(sample-domain distance) pointers.  That stays
+cheap up to the service's 65,536-block clamp; fixed-rate sampling with
+far more live blocks is the one slow regime, where a ``max_blocks``
+bound or the exact :func:`repro.mrc.curve.compute_mrc` serves better
+(measured in ``docs/mrc.md``).
+
+Determinism: sampling uses only a seeded splitmix64 finalizer
+(:func:`hash_block`, vectorised as :func:`hash_blocks`) — never an RNG,
+the OS entropy pool, or the wall clock, so a (trace, seed) pair always
+yields the same curve.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mrc.curve import MissRatioCurve, default_size_ladder
-from repro.mrc.stack import _Fenwick, _is_pow2, _log2
+from repro.mrc.stack import _is_pow2, _validated_blocks
 
 _MASK64 = (1 << 64) - 1
 _FULL = 1 << 64
-
-#: Smallest Fenwick capacity the estimator allocates; compaction doubles
-#: from here as the live sample grows.
-_MIN_TREE = 1024
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def hash_block(block: int, seed: int = 0) -> int:
     """Seeded splitmix64 finalizer: uniform 64-bit hash of a block number."""
-    x = (block + 0x9E3779B97F4A7C15 + (seed * 0xBF58476D1CE4E5B9)) & _MASK64
+    x = (block + _GAMMA + (seed * _MIX1)) & _MASK64
     x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x = (x * _MIX1) & _MASK64
     x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
+    x = (x * _MIX2) & _MASK64
     x ^= x >> 31
+    return x
+
+
+def hash_blocks(blocks: "np.ndarray", seed: int = 0) -> "np.ndarray":
+    """:func:`hash_block` over an ``int64`` block array, bit for bit.
+
+    The blocks are viewed as ``uint64`` (two's complement, as the scalar
+    form's ``& _MASK64`` reads a negative block), whose multiply wraps
+    mod 2^64; the seed term is folded and masked in Python first.
+    """
+    x = blocks.view(np.uint64) + np.uint64((_GAMMA + seed * _MIX1) & _MASK64)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
     return x
 
 
@@ -116,12 +144,14 @@ class ShardsEstimator:
     order; :meth:`result` may be called between any two chunks and does
     not disturb the pass.
 
-    Memory stays bounded in fixed-size mode: live Fenwick positions are
-    compacted whenever the tree fills, the eviction heap can never hold
-    more entries than live blocks plus already-superseded ones awaiting
-    lazy deletion (at most one per eviction, each removed on its next
-    surfacing), and the block-hash memo is cleared when it outgrows a
-    small multiple of the sample bound.
+    State is three structures over the live sampled blocks: the block ->
+    last sampled position map, the ascending list of those positions
+    (the LRU stack, read with ``bisect``) and, in fixed-size mode only,
+    the max-hash eviction heap.  A block is pushed on its first sampled
+    reference and, once evicted, its hash becomes the threshold so it
+    is never sampled again; the heap therefore holds exactly the live
+    blocks, and in fixed-size mode the state never exceeds
+    ``3 × max_blocks`` entries.
     """
 
     def __init__(
@@ -149,20 +179,15 @@ class ShardsEstimator:
             if sizes_lines is not None
             else default_size_ladder(line_size)
         )
-        self._shift = _log2(line_size)
         self._threshold = int(rate * _FULL) if rate is not None else _FULL
         if self._threshold < 1:
             raise ValueError(f"rate {rate} is below the hash resolution")
 
-        self._tree = _Fenwick(_MIN_TREE)
         self._last_pos: Dict[int, int] = {}
-        self._block_hash: Dict[int, int] = {}
+        #: Ascending last sampled positions of the live blocks.
+        self._marks: List[int] = []
         # Max-heap (negated) of (hash, block) for fixed-size evictions.
         self._heap: List[Tuple[int, int]] = []
-        self._hash_cache: Dict[int, int] = {}
-        self._hash_cache_max = (
-            max(8 * max_blocks, _MIN_TREE) if max_blocks is not None else 1 << 16
-        )
 
         # Weighted per-size miss estimates, accumulated in the sample
         # domain.  ``sorted_sizes`` ascends so the inner loop can break.
@@ -196,66 +221,49 @@ class ShardsEstimator:
         return self._threshold / _FULL
 
     def state_entries(self) -> int:
-        """Upper-bound proxy for resident state, in dict/heap entries.
+        """Upper-bound proxy for resident state, in dict/list/heap entries.
 
         Deliberately structural (entry counts, not bytes): the quantity
         the bounded-memory tests pin and the service budget divides by.
         """
-        return (
-            len(self._last_pos)
-            + len(self._block_hash)
-            + len(self._heap)
-            + len(self._hash_cache)
-            + self._tree.n
-        )
+        return len(self._last_pos) + len(self._marks) + len(self._heap)
 
     # ------------------------------------------------------------------
     # The pass
     # ------------------------------------------------------------------
     def feed(self, addresses: "np.ndarray | Iterable[int]") -> None:
         """Consume one chunk of byte addresses, in stream order."""
-        addr_array = np.asarray(addresses, dtype=np.int64)
-        blocks: List[int] = (addr_array >> self._shift).tolist()
+        blocks = _validated_blocks(addresses, self.line_size)
         self._total_refs += len(blocks)
+        hashes = hash_blocks(blocks, self.seed)
+        threshold = self._threshold
+        # The threshold never rises, so this drops only references the
+        # loop would skip; at 2^64 (which uint64 cannot hold) none.
+        if threshold < _FULL:
+            candidates = hashes < np.uint64(threshold)
+            blocks = blocks[candidates]
+            hashes = hashes[candidates]
 
-        tree_add = self._tree.add
-        tree_prefix = self._tree.prefix
-        capacity = self._tree.n
         last_pos = self._last_pos
-        block_hash = self._block_hash
+        marks = self._marks
         heap = self._heap
-        hash_cache = self._hash_cache
         sorted_sizes = self._sorted_sizes
         miss_weight = self._miss_weight
         max_blocks = self.max_blocks
-        seed = self.seed
         pos = self._pos
+        scale = _FULL / threshold
 
-        for block in blocks:
-            h = hash_cache.get(block)
-            if h is None:
-                if len(hash_cache) >= self._hash_cache_max:
-                    hash_cache.clear()  # pure function: safe to forget
-                h = hash_block(block, seed)
-                hash_cache[block] = h
-            if h >= self._threshold:
+        for block, h in zip(blocks.tolist(), hashes.tolist()):
+            if h >= threshold:  # an eviction in this chunk lowered it
                 continue
-            scale = _FULL / self._threshold
             self._sampled_refs += 1
             self._ref_weight += scale
-            if pos >= capacity:
-                self._pos = pos
-                self._compact()
-                tree_add = self._tree.add
-                tree_prefix = self._tree.prefix
-                capacity = self._tree.n
-                pos = self._pos
             pos += 1
             prev = last_pos.get(block)
             if prev is None:
                 self._cold_weight += scale
-                block_hash[block] = h
-                heapq.heappush(heap, (-h, block))
+                if max_blocks is not None:
+                    heapq.heappush(heap, (-h, block))
             else:
                 # The referenced block itself is in the interval with
                 # probability 1, not R, so only the other (d_s - 1)
@@ -263,43 +271,24 @@ class ShardsEstimator:
                 # E[(d_s-1)/R + 1] = D exactly.  The naive d_s/R
                 # overestimates every distance by ~(1/R - 1) lines,
                 # which is material at this repo's line-scale sizes.
-                sample_distance = tree_prefix(pos - 1) - tree_prefix(prev) + 1
+                sample_distance = len(marks) - bisect_right(marks, prev) + 1
                 estimated = (sample_distance - 1) * scale + 1.0
                 for i, size in enumerate(sorted_sizes):
                     if estimated <= size:
                         break  # sizes ascend: every later size hits too
                     miss_weight[i] += scale
-                tree_add(prev, -1)
-            tree_add(pos, 1)
+                del marks[bisect_left(marks, prev)]
+            marks.append(pos)  # the largest position: the list stays sorted
             last_pos[block] = pos
             if max_blocks is not None and len(last_pos) > max_blocks:
                 # Evict the largest-hash block and lower the threshold
                 # to its hash: the adaptive half of SHARDS (fixed sample
                 # size).
-                while True:
-                    neg_h, victim = heapq.heappop(heap)
-                    if block_hash.get(victim) == -neg_h:
-                        break
-                self._threshold = -neg_h
-                tree_add(last_pos.pop(victim), -1)
-                del block_hash[victim]
+                neg_h, victim = heapq.heappop(heap)
+                threshold = self._threshold = -neg_h
+                scale = _FULL / threshold
+                del marks[bisect_left(marks, last_pos.pop(victim))]
         self._pos = pos
-
-    def _compact(self) -> None:
-        """Renumber live positions 1..k in order; rebuild the tree.
-
-        Relative order of live positions is preserved, so every interval
-        count — the only thing the distance estimate ever reads — is
-        unchanged; chunked and batch feeding stay exactly identical.
-        """
-        live = sorted(self._last_pos.items(), key=lambda item: item[1])
-        k = len(live)
-        self._tree = _Fenwick(max(2 * (k + 1), _MIN_TREE))
-        add = self._tree.add
-        for new_pos, (block, _) in enumerate(live, start=1):
-            self._last_pos[block] = new_pos
-            add(new_pos, 1)
-        self._pos = k
 
     def result(self) -> SampleResult:
         """Snapshot the estimated curve over everything fed so far."""

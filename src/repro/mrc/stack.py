@@ -14,10 +14,11 @@ classic fix is the tree trick (Bennett & Kruskal 1975): a Fenwick tree
 over trace positions holds a 1 at the *most recent* position of every
 distinct block, so distinct-blocks-in-interval is a prefix-sum query —
 O(N log N) total, independent of how many cache sizes are later probed.
-That form survives here as :func:`compute_profile_reference` (and as
-the streaming core of :mod:`repro.mrc.sampling`, which must adapt its
-threshold mid-pass), but a per-reference Python loop around two tree
-walks costs microseconds per reference.
+That form survives here as :func:`compute_profile_reference`, the
+reference the tests pin the fast engine against, but a per-reference
+Python loop around two tree walks costs microseconds per reference.
+(:mod:`repro.mrc.sampling` streams, so it reads the same interval count
+off a sorted list of the live blocks' last positions instead.)
 
 :func:`compute_profile` instead computes the identical distances with
 no per-reference Python at all.  Writing ``prev[t]`` for the (1-based)
@@ -309,8 +310,7 @@ def compute_profile_reference(
     """Bennett-Kruskal Fenwick form of :func:`compute_profile`.
 
     Kept as the independently-derived implementation the property tests
-    pin the vectorised engine against (and as documentation of the
-    streaming algorithm :mod:`repro.mrc.sampling` adapts).
+    pin the vectorised engine against.
     """
     blocks: List[int] = _validated_blocks(addresses, line_size).tolist()
     n = len(blocks)

@@ -6,13 +6,15 @@ import resource
 from dataclasses import dataclass
 from typing import Optional
 
-#: Structural state entries per sampled block, measured (not guessed):
-#: the bounded-memory test in ``tests/test_mrc.py`` pins the estimator's
-#: :meth:`~repro.mrc.ShardsEstimator.state_entries` peak under
-#: ``80 × max_blocks`` over a million-reference stream, and each entry
-#: (dict slot, heap tuple, Fenwick cell) costs on the order of 100
-#: bytes of CPython object overhead — call it 8KB per block, rounded to
-#: a power of two so budgets translate predictably.
+#: Bytes of per-tenant budget per sampled block.  The bounded-memory
+#: test in ``tests/test_mrc.py`` pins the estimator's
+#: :meth:`~repro.mrc.ShardsEstimator.state_entries` at most
+#: ``3 × max_blocks`` (per live block: a dict slot, a position-list slot
+#: and a heap tuple), about 200-240 bytes of CPython objects per block
+#: under ``tracemalloc``, so 8KB is generous.  It is not re-derived from
+#: that: it sets every session's sample size (the default 2 MiB budget
+#: is 256 blocks), so changing it changes every ``mrc`` and ``verdict``
+#: answer, and it belongs with calibrating the verdict.
 BYTES_PER_SAMPLED_BLOCK = 8192
 
 #: Sample-size clamp: below 64 blocks a SHARDS curve is noise (the

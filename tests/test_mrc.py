@@ -8,18 +8,20 @@ The contract, from strongest to weakest:
 * the conflict decomposition reproduces the simulating
   :class:`~repro.core.ground_truth.GroundTruthClassifier`
   count-for-count;
-* SHARDS sampling is deterministic from its seed and lands within the
-  documented tolerance at the documented operating point (fixed-size
-  1024 blocks).
+* SHARDS sampling is result-for-result identical to a Fenwick-tree
+  form of the same pass, deterministic from its seed, and lands within
+  the documented tolerance at the documented operating point
+  (fixed-size 1024 blocks).
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.ground_truth import GroundTruthClassifier
@@ -36,8 +38,12 @@ from repro.mrc import (
     default_size_ladder,
     hash_block,
     sampled_curve,
+    sampling,
 )
 from repro.mrc.cli import main as mrc_main
+from repro.mrc.curve import MissRatioCurve
+from repro.mrc.sampling import SampleResult, hash_blocks
+from repro.mrc.stack import _Fenwick
 from repro.workloads.spec_analogs import EVAL_SUITE, build
 
 # Small universes so short traces still collide and revisit.
@@ -50,6 +56,97 @@ LINE = 64
 def addresses_from_blocks(refs):
     """Turn abstract block ids into byte addresses one line apart."""
     return np.asarray(refs, dtype=np.int64) * LINE
+
+
+def reference_shards(
+    addresses, sizes, *, rate=None, max_blocks=None, seed=0, snapshots=()
+):
+    """The SHARDS pass as one per-reference loop over a Fenwick tree.
+
+    The independent model :class:`ShardsEstimator` must reproduce: a
+    scalar :func:`hash_block` per reference behind a memo, a Fenwick
+    tree over sampled positions that is compacted (live positions
+    renumbered in order) whenever it fills, and a max-hash heap with
+    lazy deletion.  The memo and the tree start small so that clearing
+    and compaction both run on short streams.  Returns a dict from each
+    reference count in ``snapshots``, and the stream length, to the
+    :class:`SampleResult` after that many references.
+    """
+    full = 1 << 64
+    shift = LINE.bit_length() - 1
+    blocks = (np.asarray(addresses, dtype=np.int64) >> shift).tolist()
+    threshold = int(rate * full) if rate is not None else full
+    sorted_sizes = sorted(sizes)
+    miss_weight = [0.0] * len(sorted_sizes)
+    cold_weight = ref_weight = 0.0
+    sampled_refs = pos = 0
+    tree = _Fenwick(16)
+    last_pos, block_hash, hash_memo, heap = {}, {}, {}, []
+
+    def snapshot(n):
+        by_size = dict(zip(sorted_sizes, miss_weight))
+        adj = n / ref_weight if ref_weight else 0.0
+        curve = MissRatioCurve(
+            line_size=LINE,
+            total_refs=n,
+            cold_misses=int(round(cold_weight * adj)),
+            sizes_lines=tuple(sizes),
+            misses=tuple(
+                min(n, int(round((cold_weight + by_size[size]) * adj)))
+                for size in sizes
+            ),
+            exact=False,
+        )
+        return SampleResult(
+            curve, sampled_refs, len(last_pos), threshold / full, seed
+        )
+
+    results = {}
+    for done, block in enumerate(blocks):
+        if done in snapshots:
+            results[done] = snapshot(done)
+        h = hash_memo.get(block)
+        if h is None:
+            if len(hash_memo) >= 64:
+                hash_memo.clear()
+            h = hash_memo[block] = hash_block(block, seed)
+        if h >= threshold:
+            continue
+        scale = full / threshold
+        sampled_refs += 1
+        ref_weight += scale
+        if pos >= tree.n:
+            live = sorted(last_pos, key=last_pos.__getitem__)
+            tree = _Fenwick(max(2 * (len(live) + 1), 16))
+            for new_pos, live_block in enumerate(live, start=1):
+                last_pos[live_block] = new_pos
+                tree.add(new_pos, 1)
+            pos = len(live)
+        pos += 1
+        prev = last_pos.get(block)
+        if prev is None:
+            cold_weight += scale
+            block_hash[block] = h
+            heapq.heappush(heap, (-h, block))
+        else:
+            distance = tree.prefix(pos - 1) - tree.prefix(prev) + 1
+            estimated = (distance - 1) * scale + 1.0
+            for i, size in enumerate(sorted_sizes):
+                if estimated > size:
+                    miss_weight[i] += scale
+            tree.add(prev, -1)
+        tree.add(pos, 1)
+        last_pos[block] = pos
+        if max_blocks is not None and len(last_pos) > max_blocks:
+            while True:
+                neg_h, victim = heapq.heappop(heap)
+                if block_hash.get(victim) == -neg_h:
+                    break
+            threshold = -neg_h
+            tree.add(last_pos.pop(victim), -1)
+            del block_hash[victim]
+    results[len(blocks)] = snapshot(len(blocks))
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -235,11 +332,86 @@ class TestSampling:
         with pytest.raises(ValueError):
             sampled_curve([0], LINE)
 
+    @given(
+        values=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=50),
+        seed=st.integers(min_value=0, max_value=2**70),
+    )
+    @example(values=[], seed=2**40 + 3)
+    def test_vector_hash_equals_scalar_hash(self, values, seed):
+        values = values + [0, -1, 1, -(2**63), 2**63 - 1]
+        hashed = hash_blocks(np.array(values, dtype=np.int64), seed)
+        assert hashed.tolist() == [hash_block(v, seed) for v in values]
+
+    @pytest.mark.parametrize("mode", [{"rate": 0.5}, {"max_blocks": 8}])
+    @pytest.mark.parametrize(
+        "bad",
+        [np.zeros((2, 3), dtype=np.int64), [[0, 64], [128, 192]]],
+        ids=["2d-array", "nested-list"],
+    )
+    def test_non_one_dimensional_input_is_rejected(self, mode, bad):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ShardsEstimator(LINE, **mode).feed(bad)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            sampled_curve(bad, LINE, **mode)
+
+    def test_feed_hashes_whole_chunks_not_references(self, monkeypatch):
+        def scalar_hash(block, seed=0):
+            raise AssertionError("feed hashed a single reference")
+
+        monkeypatch.setattr(sampling, "hash_block", scalar_hash)
+        addrs = build("gcc", 5_000, seed=0).addresses
+        for mode in ({"rate": 0.5}, {"max_blocks": 64}):
+            estimator = ShardsEstimator(LINE, **mode)
+            estimator.feed(addrs)
+            assert estimator.result().sampled_refs > 0
+
 
 # ----------------------------------------------------------------------
 # Incremental SHARDS feeding (the online-service form)
 # ----------------------------------------------------------------------
 class TestIncrementalSampling:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_fenwick_reference(self, data):
+        # Every SampleResult field, at every chunking and every
+        # mid-stream snapshot, equals the per-reference tree loop's.
+        mode = data.draw(
+            st.one_of(
+                st.fixed_dictionaries(
+                    {"rate": st.floats(min_value=1e-6, max_value=1.0)}
+                ),
+                st.fixed_dictionaries(
+                    {"max_blocks": st.integers(min_value=1, max_value=1024)}
+                ),
+            )
+        )
+        seed = data.draw(st.integers(min_value=0, max_value=2**40))
+        universe = data.draw(st.integers(min_value=1, max_value=3000))
+        n = data.draw(st.integers(min_value=0, max_value=3000))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        refs = rng.integers(0, universe, size=n, dtype=np.int64)
+        if data.draw(st.booleans()):
+            # Addresses at and above 2**63, as the service passes them.
+            addrs = refs.astype(np.uint64) * np.uint64(LINE) + np.uint64(2**63)
+        else:
+            addrs = refs * LINE
+        sizes = (16, 1, 4, 2, 64, 8, 1024)
+
+        estimator = ShardsEstimator(LINE, sizes, seed=seed, **mode)
+        snapshots = {}
+        done = 0
+        while done < n:
+            chunk = data.draw(st.integers(min_value=0, max_value=n - done))
+            estimator.feed(addrs[done : done + chunk])
+            done += chunk
+            if data.draw(st.booleans()):
+                snapshots[done] = estimator.result()
+        snapshots[n] = estimator.result()
+        expected = reference_shards(
+            addrs, sizes, seed=seed, snapshots=set(snapshots), **mode
+        )
+        assert snapshots == expected
+
     @settings(max_examples=25, deadline=None)
     @given(
         chunk=st.integers(min_value=1, max_value=4000),
@@ -249,8 +421,8 @@ class TestIncrementalSampling:
     def test_chunked_feed_identical_to_batch(self, chunk, seed, bench):
         # The contract is exact, not statistical: a stream fed in chunks
         # of any size must produce the same SampleResult as one batch
-        # call — compaction only renumbers live positions, never changes
-        # an interval count.
+        # call — positions are never renumbered, so no chunk boundary
+        # can change an interval count.
         trace = build(bench, 12_000, seed=0)
         addrs = np.asarray(trace.addresses, dtype=np.int64)
         batch = sampled_curve(addrs, LINE, max_blocks=128, seed=seed)
@@ -291,8 +463,9 @@ class TestIncrementalSampling:
             )
             estimator.feed(addrs)
             peak = max(peak, estimator.state_entries())
+            assert len(estimator._heap) == estimator.sampled_blocks
         assert estimator.sampled_blocks <= 256
-        assert peak < 80 * 256, f"state grew to {peak} entries"
+        assert peak <= 3 * 256, f"state grew to {peak} entries"
 
     def test_estimator_rejects_bad_modes(self):
         with pytest.raises(ValueError):
