@@ -12,7 +12,7 @@ Run:  python examples/multiprogrammed_conflicts.py
 """
 
 from repro import CacheGeometry, measure_accuracy
-from repro.system import BASELINE, sharing_penalties
+from repro.system import BASELINE, sharing_penalties, simulate_shared
 from repro.workloads import build, merge_round_robin
 
 GEO = CacheGeometry(size=16 * 1024, assoc=1, line_size=64)
@@ -51,6 +51,7 @@ print("AMB-style optimizations and conflict-aware job co-scheduling.")
 print("\n-- per-thread sharing penalty (shared vs solo, uncovered misses) --")
 for a_name, b_name in pairs:
     traces = [build(a_name, N // 2), build(b_name, N // 2)]
-    for p in sharing_penalties(traces, BASELINE, warmup_fraction=0.25):
+    shared = simulate_shared(traces, BASELINE, warmup_fraction=0.25)
+    for p in sharing_penalties(traces, shared, BASELINE, warmup_fraction=0.25):
         print(f"{p.name:<10} solo {p.solo_miss_rate:5.1f}%  "
               f"shared {p.shared_miss_rate:5.1f}%  penalty {p.penalty:+5.1f}")

@@ -3,16 +3,16 @@
 Eight rule families, each earned the hard way (see
 ``docs/static_analysis.md`` for the catalog with the original bugs):
 
-* **stats-completeness** (RPR001-003) — statistics dataclasses must
-  route ``reset()``/``merge()`` through :func:`dataclasses.fields` and
-  keep counters ``int``;
+* **stats-completeness** (RPR003) — statistics dataclasses keep their
+  counters ``int`` (``reset()``/``merge()`` are inherited from
+  :class:`repro.cache.stats.Counters`, so they need no rule);
 * **determinism** (RPR010-013) — no wall clock, unseeded RNG, OS
   entropy or set-order dependence in the simulation core;
 * **concurrency** (RPR020-022) — harness child-process lifecycle under
   the serialised lock, no bare shared-dict mutation from scheduler
   threads;
-* **obs-schema** (RPR030-032) — emitted event names and the validator
-  schema must agree exactly, in both directions;
+* **obs-schema** (RPR030-031) — emitted event names and the one event
+  schema table must agree exactly, in both directions;
 * **hot-path** (RPR040-042) — no repeated attribute chains or repeated
   ``tolist()`` slicing in simulation-core loops, no ``print()`` in
   library code;

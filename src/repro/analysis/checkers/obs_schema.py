@@ -1,18 +1,16 @@
-"""RPR030-032 — event names vs. the validator schema, both directions.
+"""RPR030-031 — event names vs. the event schema, both directions.
 
-The observability contract is two-sided: the emit side
-(:class:`repro.obs.events.EventLog`) only accepts names in
-``EVENT_TYPES``, and the validate side (``python -m repro.obs.validate``)
-only accepts names in ``REQUIRED_FIELDS``.  A name present on one side
-but not the other means either events that can never validate (silent
-telemetry loss in CI) or schema entries that nothing ever emits (dead
-contract).  This checker joins the two sides *statically* across files:
+The observability contract has one table: ``REQUIRED_FIELDS`` in
+:mod:`repro.obs.events`, from which the emitter's ``EVENT_TYPES`` is
+derived and against which ``python -m repro.obs.validate`` checks.  A
+name emitted but absent from it means events that can never validate
+(silent telemetry loss in CI); a name in it that nothing emits is a
+dead contract entry.  This checker joins emit sites and the table
+*statically* across files:
 
 * every string literal passed to an ``.emit("name", ...)`` call must be
   a schema name (RPR030);
-* every schema name must be emitted by at least one call site (RPR031);
-* ``EVENT_TYPES`` and ``REQUIRED_FIELDS`` must agree exactly (RPR032) —
-  the same drift the runtime validator now also refuses.
+* every schema name must be emitted by at least one call site (RPR031).
 """
 
 from __future__ import annotations
@@ -26,9 +24,8 @@ from repro.analysis.core import Checker, ModuleInfo, Violation, literal_str
 class ObsSchemaChecker(Checker):
     name = "obs-schema"
     codes: Dict[str, str] = {
-        "RPR030": "event name emitted but absent from the validator schema",
+        "RPR030": "event name emitted but absent from the event schema",
         "RPR031": "schema event name never emitted anywhere",
-        "RPR032": "EVENT_TYPES and REQUIRED_FIELDS disagree",
     }
     # Collects from library code only: tests emit deliberately-bogus
     # names when exercising the runtime guard, and those are not part of
@@ -38,14 +35,13 @@ class ObsSchemaChecker(Checker):
     def __init__(self) -> None:
         # (name, module, node) per emit site / schema entry, in visit order.
         self._emits: List[Tuple[str, ModuleInfo, ast.AST]] = []
-        self._event_types: List[Tuple[str, ModuleInfo, ast.AST]] = []
-        self._required: List[Tuple[str, ModuleInfo, ast.AST]] = []
+        self._schema: List[Tuple[str, ModuleInfo, ast.AST]] = []
 
     def check_module(self, module: ModuleInfo) -> Iterator[Violation]:
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 self._collect_emit(module, node)
-            elif isinstance(node, ast.Assign):
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 self._collect_schema(module, node)
         return iter(())
 
@@ -59,26 +55,29 @@ class ObsSchemaChecker(Checker):
         if name is not None:
             self._emits.append((name, module, node))
 
-    def _collect_schema(self, module: ModuleInfo, node: ast.Assign) -> None:
-        targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        if "EVENT_TYPES" in targets:
-            for name, sub in _string_elements(node.value):
-                self._event_types.append((name, module, sub))
-        if "REQUIRED_FIELDS" in targets and isinstance(node.value, ast.Dict):
+    def _collect_schema(
+        self, module: ModuleInfo, node: ast.Assign | ast.AnnAssign
+    ) -> None:
+        targets: List[ast.expr] = (
+            node.targets if isinstance(node, ast.Assign) else [node.target]
+        )
+        if not any(
+            isinstance(t, ast.Name) and t.id == "REQUIRED_FIELDS" for t in targets
+        ):
+            return
+        if isinstance(node.value, ast.Dict):
             for key in node.value.keys:
                 name = literal_str(key) if key is not None else None
                 if name is not None:
-                    self._required.append((name, module, key))
+                    self._schema.append((name, module, key))
 
     def finalize(self) -> Iterator[Violation]:
         # No schema in the checked set (e.g. a run over a subtree that
         # excludes obs/): nothing to join against, so stay silent rather
         # than flagging every emit site.
-        if not self._event_types and not self._required:
+        if not self._schema:
             return
-        schema = {n for n, _, _ in self._event_types} | {
-            n for n, _, _ in self._required
-        }
+        schema = {n for n, _, _ in self._schema}
         emitted = {n for n, _, _ in self._emits}
         # `emit` is also the generic entry point spans go through:
         # EventLog.emit_span forwards with the literal "span", which the
@@ -90,9 +89,9 @@ class ObsSchemaChecker(Checker):
                     "RPR030",
                     node,
                     f"event {name!r} is emitted but absent from the "
-                    f"validator schema (EVENT_TYPES/REQUIRED_FIELDS)",
+                    f"event schema (REQUIRED_FIELDS)",
                 )
-        for name, module, node in self._event_types + self._required:
+        for name, module, node in self._schema:
             if name not in emitted:
                 yield module.violation(
                     self,
@@ -101,37 +100,3 @@ class ObsSchemaChecker(Checker):
                     f"schema event {name!r} is never emitted by any call "
                     f"site — dead contract entry",
                 )
-        types = {n for n, _, _ in self._event_types}
-        required = {n for n, _, _ in self._required}
-        if self._event_types and self._required and types != required:
-            only_types = sorted(types - required)
-            only_required = sorted(required - types)
-            _, module, node = (self._event_types + self._required)[0]
-            details = []
-            if only_types:
-                details.append(f"only in EVENT_TYPES: {', '.join(only_types)}")
-            if only_required:
-                details.append(
-                    f"only in REQUIRED_FIELDS: {', '.join(only_required)}"
-                )
-            yield module.violation(
-                self,
-                "RPR032",
-                node,
-                "EVENT_TYPES and REQUIRED_FIELDS disagree "
-                f"({'; '.join(details)})",
-            )
-
-
-def _string_elements(node: ast.AST) -> List[Tuple[str, ast.AST]]:
-    """String constants inside a (frozen)set/list/tuple literal, possibly
-    wrapped in a ``frozenset({...})`` call."""
-    if isinstance(node, ast.Call) and node.args:
-        return _string_elements(node.args[0])
-    out: List[Tuple[str, ast.AST]] = []
-    if isinstance(node, (ast.Set, ast.List, ast.Tuple)):
-        for element in node.elts:
-            value = literal_str(element)
-            if value is not None:
-                out.append((value, element))
-    return out

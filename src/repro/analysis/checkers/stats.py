@@ -1,19 +1,17 @@
-"""RPR001-003 — stats-completeness.
+"""RPR003 — statistics counters are integers.
 
-PR 3 fixed a family of real bugs: ``BufferStats.merge()`` and several
-``reset()`` methods hand-enumerated their counter fields, so a counter
-added later was silently dropped from aggregates (or leaked warmup
-counts into the measured window).  The repo's convention since then is
-that every statistics dataclass routes ``reset()``/``merge()`` through
-:func:`dataclasses.fields` — these rules make that convention a build
-failure instead of a review comment.
+Replay reconciliation requires the ``counters`` deltas in
+``events.jsonl`` to sum *exactly* to the final snapshot, and a float
+counter accumulates rounding error that breaks that.  Completeness of
+``reset()``/``merge()`` needs no rule: every statistics dataclass
+inherits the one fields()-driven implementation on
+:class:`repro.cache.stats.Counters`, and a test asserts that no
+``*Stats`` class defines its own.
 
 A class is *stats-like* when it is a ``@dataclass`` following the
 repo's naming convention — class name ending in ``Stats``, or any
-dataclass inside a ``stats.py`` module — that defines ``reset`` or
-``merge`` and declares at least two scalar counter fields (``int`` /
-``float`` annotation, zero default).  Workload/config dataclasses whose
-``reset()`` rewinds a position are not statistics and are not visited.
+dataclass inside a ``stats.py`` module — and declares at least two
+scalar counter fields (``int`` / ``float`` annotation, zero default).
 """
 
 from __future__ import annotations
@@ -48,32 +46,9 @@ def _counter_fields(node: ast.ClassDef) -> List[Tuple[str, str, ast.AnnAssign]]:
     return out
 
 
-def _method(node: ast.ClassDef, name: str) -> Optional[ast.FunctionDef]:
-    for stmt in node.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == name:
-            return stmt
-    return None
-
-
-def _uses_fields(func: ast.FunctionDef) -> bool:
-    """Whether the method iterates ``dataclasses.fields`` anywhere."""
-    for sub in ast.walk(func):
-        if isinstance(sub, ast.Call):
-            callee = sub.func
-            if isinstance(callee, ast.Name) and callee.id == "fields":
-                return True
-            if isinstance(callee, ast.Attribute) and callee.attr == "fields":
-                return True
-    return False
-
-
 class StatsCompletenessChecker(Checker):
     name = "stats-completeness"
     codes: Dict[str, str] = {
-        "RPR001": "stats dataclass reset() hand-enumerates fields "
-        "(route through dataclasses.fields())",
-        "RPR002": "stats dataclass merge() hand-enumerates fields "
-        "(route through dataclasses.fields())",
         "RPR003": "counter field annotated float (counters must be int; "
         "noqa only for genuinely fractional quantities)",
     }
@@ -87,28 +62,8 @@ class StatsCompletenessChecker(Checker):
             if not (node.name.endswith("Stats") or stats_module):
                 continue
             counters = _counter_fields(node)
-            reset = _method(node, "reset")
-            merge = _method(node, "merge")
-            if len(counters) < 2 or (reset is None and merge is None):
+            if len(counters) < 2:
                 continue
-            if reset is not None and not _uses_fields(reset):
-                yield module.violation(
-                    self,
-                    "RPR001",
-                    reset,
-                    f"{node.name}.reset() does not iterate dataclasses."
-                    f"fields(); a counter added later would silently "
-                    f"survive reset",
-                )
-            if merge is not None and not _uses_fields(merge):
-                yield module.violation(
-                    self,
-                    "RPR002",
-                    merge,
-                    f"{node.name}.merge() does not iterate dataclasses."
-                    f"fields(); a counter added later would silently "
-                    f"be dropped from aggregates",
-                )
             for field_name, annotation, stmt in counters:
                 if annotation == "float":
                     yield module.violation(

@@ -9,8 +9,8 @@ here is deliberately small:
   scope tags),
 * a :class:`Checker` base class with a per-module pass and an optional
   cross-module ``finalize`` pass (used by the obs-schema checker, whose
-  two sides live in different files),
-* ``# repro: noqa`` / ``# repro: noqa[RPR001,RPR040]`` line suppressions,
+  emit sites and schema table live in different files),
+* ``# repro: noqa`` / ``# repro: noqa[RPR003,RPR040]`` line suppressions,
 * deterministic, sorted output (the linter itself must obey the repo's
   determinism rules — its output feeds CI diffs).
 
@@ -40,7 +40,7 @@ SIMCORE_PACKAGES = frozenset(
 #: Directive overriding a file's computed scope tags (fixtures use this).
 _SCOPE_DIRECTIVE = re.compile(r"#\s*repro-analysis-scope:\s*([\w\s,-]+)")
 
-#: Line suppression: ``# repro: noqa`` or ``# repro: noqa[RPR001,RPR002]``.
+#: Line suppression: ``# repro: noqa`` or ``# repro: noqa[RPR003,RPR040]``.
 _NOQA = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Z0-9,\s]+)\])?")
 
 
@@ -323,12 +323,6 @@ def is_dataclass(node: ast.ClassDef) -> bool:
         if name in {"dataclass", "dataclasses.dataclass"}:
             return True
     return False
-
-
-def iter_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
 
 
 def literal_str(node: ast.AST) -> Optional[str]:

@@ -454,11 +454,6 @@ class DataflowAnalysis:
             return join(self.value_of(node.body), self.value_of(node.orelse))
         return UNKNOWN
 
-    def dtype_of(self, node: ast.expr) -> Optional[str]:
-        """Canonical dtype when ``node`` is a proven array, else None."""
-        value = self.value_of(node)
-        return value.dtype if isinstance(value, Array) else None
-
     def numpy_call_name(self, call: ast.Call) -> Optional[str]:
         """``"cumsum"`` for ``np.cumsum(...)`` through a numpy alias."""
         func = call.func
@@ -494,9 +489,6 @@ class DataflowAnalysis:
             if kw.arg == "dtype":
                 return dtype_name(kw.value)
         return None
-
-    def has_dtype_kwarg(self, call: ast.Call) -> bool:
-        return any(kw.arg == "dtype" for kw in call.keywords)
 
     def _call_value(self, node: ast.Call) -> Value:
         func = node.func

@@ -4,13 +4,16 @@ Statistics objects are plain mutable dataclasses with derived-rate
 properties.  Everything the paper reports — hit rates, swap/fill rates as a
 percentage of all accesses, prefetch accuracy and coverage, miss-rate
 components — is computed from these counters, so they are deliberately
-fine-grained.
+fine-grained.  Every one of them inherits :class:`Counters`, the single
+``reset()``/``merge()`` implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict
+from typing import Dict, TypeVar
+
+_C = TypeVar("_C", bound="Counters")
 
 
 def _pct(part: int | float, whole: int | float) -> float:
@@ -19,7 +22,44 @@ def _pct(part: int | float, whole: int | float) -> float:
 
 
 @dataclass
-class CacheStats:
+class Counters:
+    """Base of every statistics dataclass: one ``reset()``, one ``merge()``.
+
+    Both walk :func:`dataclasses.fields`, so a counter added to a
+    subclass is zeroed when warmup ends and summed into every rollup
+    with no further code.  Nested ``Counters`` recurse, ``int`` and
+    ``float`` fields are zeroed keeping their type (the fractional
+    cycle counters of :class:`TimingStats` stay ``float``) or added,
+    and any other field — a thread's name — is left alone.
+    """
+
+    def reset(self) -> None:
+        """Zero every counter, recursing into nested ``Counters``."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Counters):
+                value.reset()
+            elif isinstance(value, (int, float)):
+                setattr(self, f.name, type(value)(0))
+
+    def merge(self: _C, other: _C) -> None:
+        """Accumulate another stats object of the same class into this one.
+
+        Used by multi-thread / multi-shard rollups.  Merged
+        :class:`SystemStats` no longer satisfy the single-run coupling
+        laws (pass ``coupled=False`` to the invariant checker), but every
+        per-object law still holds and no counter is dropped.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Counters):
+                value.merge(getattr(other, f.name))
+            elif isinstance(value, (int, float)):
+                setattr(self, f.name, value + getattr(other, f.name))
+
+
+@dataclass
+class CacheStats(Counters):
     """Per-cache-level counters."""
 
     accesses: int = 0
@@ -39,18 +79,9 @@ class CacheStats:
         """Misses as a percentage of accesses."""
         return _pct(self.misses, self.accesses)
 
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    def merge(self, other: "CacheStats") -> None:
-        """Accumulate another stats object into this one."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
 
 @dataclass
-class BufferStats:
+class BufferStats(Counters):
     """Assist-buffer counters (victim / prefetch / bypass / AMB).
 
     ``swaps`` and ``fills`` mirror Table 1 of the paper: a *swap* is a
@@ -92,23 +123,9 @@ class BufferStats:
         """Buffer hits as a percentage of all cache accesses (Table 1 'V$ HR')."""
         return _pct(self.hits, total_accesses)
 
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    def merge(self, other: "BufferStats") -> None:
-        """Accumulate another stats object into this one.
-
-        Used by multi-thread / multi-shard rollups; iterating
-        :func:`~dataclasses.fields` means a newly added counter can never
-        be silently dropped from an aggregate.
-        """
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
 
 @dataclass
-class ClassificationStats:
+class ClassificationStats(Counters):
     """MCT outcome counters, split by the ground-truth class.
 
     ``predicted X, actual Y`` counters support the accuracy bars of
@@ -160,18 +177,16 @@ class ClassificationStats:
             else:
                 self.capacity_as_capacity += 1
 
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    def merge(self, other: "ClassificationStats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
 
 @dataclass
-class TimingStats:
-    """Cycle-accounting output of the timing model."""
+class TimingStats(Counters):
+    """Cycle-accounting output of the timing model.
+
+    Cycles and stalls sum under :meth:`~Counters.merge`, so the merged
+    IPC/CPI is the throughput of the combined runs — the right
+    convention when rolling up per-thread or per-shard runs executed
+    back to back.
+    """
 
     # Cycle counters are genuinely fractional: bus/bank contention is
     # accounted at sub-cycle resolution, and they only ever cross the
@@ -191,23 +206,9 @@ class TimingStats:
     def cpi(self) -> float:
         return self.cycles / self.instructions if self.instructions else 0.0
 
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, type(getattr(self, f.name))(0))
-
-    def merge(self, other: "TimingStats") -> None:
-        """Accumulate another timing run into this one.
-
-        Cycles and stalls sum, so the merged IPC/CPI is the throughput of
-        the combined runs — the right convention when rolling up
-        per-thread or per-shard runs executed back to back.
-        """
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
 
 @dataclass
-class SystemStats:
+class SystemStats(Counters):
     """Everything a full simulation run produces."""
 
     l1: CacheStats = field(default_factory=CacheStats)
@@ -230,42 +231,6 @@ class SystemStats:
     def effective_miss_rate(self) -> float:
         """Misses not covered by L1 or the assist buffer, in percent."""
         return 100.0 - self.total_hit_rate
-
-    def reset(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if hasattr(value, "reset"):
-                value.reset()
-            else:
-                setattr(self, f.name, 0)
-
-    def reset_scalars(self) -> None:
-        """Zero only the scalar counters owned directly by this object.
-
-        The memory systems share the nested stats objects with their
-        caches/buffers and reset those through the owners; this is their
-        fields()-driven path for everything else, so a scalar counter
-        added later can never leak warmup counts into the measured
-        window (the RPR001 bug class).
-        """
-        for f in fields(self):
-            if not hasattr(getattr(self, f.name), "reset"):
-                setattr(self, f.name, 0)
-
-    def merge(self, other: "SystemStats") -> None:
-        """Accumulate another run's statistics into this one.
-
-        Intended for multi-thread / multi-shard rollups: merged stats no
-        longer satisfy the single-run coupling laws (pass
-        ``coupled=False`` to the invariant checker), but every per-object
-        law still holds and no counter is dropped.
-        """
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if hasattr(value, "merge"):
-                value.merge(getattr(other, f.name))
-            else:
-                setattr(self, f.name, value + getattr(other, f.name))
 
     def as_dict(self) -> Dict[str, object]:
         """Nested plain-dict snapshot of every counter.

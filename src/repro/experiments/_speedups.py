@@ -13,7 +13,7 @@ from repro.cache.stats import SystemStats
 from repro.experiments.base import ExperimentParams, ExperimentResult
 from repro.system.config import MachineConfig, PAPER_MACHINE
 from repro.system.policies import AssistConfig
-from repro.system.simulator import mean, simulate, speedup
+from repro.system.simulator import mean, simulate_policies, speedup
 from repro.workloads.spec_analogs import build
 
 
@@ -25,25 +25,19 @@ def run_policies_over_suite(
 ) -> Dict[str, Dict[str, SystemStats]]:
     """stats[bench][policy_name] for every (benchmark, policy) pair.
 
-    Policy names must be unique — the per-benchmark dict is keyed by
-    name, and a duplicate would silently drop one policy's column from
-    every table built on top of this.
+    Policy names must be unique, as :func:`simulate_policies` checks —
+    a duplicate would silently drop one policy's column from every
+    table built on top of this.
     """
-    names = [p.name for p in policies]
-    duplicates = sorted({n for n in names if names.count(n) > 1})
-    if duplicates:
-        raise ValueError(
-            f"duplicate policy name(s) {', '.join(map(repr, duplicates))}: "
-            "results are keyed by name (use AssistConfig.renamed())"
+    return {
+        name: simulate_policies(
+            build(name, params.n_refs, params.seed),
+            policies,
+            machine,
+            warmup=params.warmup,
         )
-    out: Dict[str, Dict[str, SystemStats]] = {}
-    for name in suite:
-        trace = build(name, params.n_refs, params.seed)
-        out[name] = {
-            p.name: simulate(trace, p, machine, warmup=params.warmup)
-            for p in policies
-        }
-    return out
+        for name in suite
+    }
 
 
 def speedup_table(

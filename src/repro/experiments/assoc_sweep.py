@@ -20,7 +20,7 @@ from repro.experiments.base import (
     ExperimentResult,
     SECTION5_SUITE,
 )
-from repro.extensions.assoc_replacement import compare_assoc_replacement
+from repro.extensions.assoc_replacement import conflict_biased_miss_rate
 from repro.workloads.spec_analogs import build
 
 ASSOCIATIVITIES = (1, 2, 4, 8)
@@ -54,7 +54,7 @@ def run(params: ExperimentParams = DEFAULT_PARAMS) -> ExperimentResult:
         geometry = CacheGeometry(
             size=CAPACITY_BYTES, assoc=assoc, line_size=LINE_SIZE
         )
-        miss = share = lru = biased = 0.0
+        miss = share = biased = 0.0
         cf_ok = cf_all = cp_ok = cp_all = 0
         for trace in traces.values():
             acc = measure_accuracy(trace.addresses, geometry)
@@ -65,9 +65,7 @@ def run(params: ExperimentParams = DEFAULT_PARAMS) -> ExperimentResult:
             cf_all += c.true_conflicts
             cp_ok += c.capacity_as_capacity
             cp_all += c.true_capacities
-            cmp = compare_assoc_replacement(trace, geometry)
-            lru += cmp.lru_miss_rate
-            biased += cmp.biased_miss_rate
+            biased += conflict_biased_miss_rate(trace, geometry)
         n = len(traces)
         result.add_row(
             assoc,
@@ -75,7 +73,7 @@ def run(params: ExperimentParams = DEFAULT_PARAMS) -> ExperimentResult:
             share / n,
             100.0 * cf_ok / cf_all if cf_all else 0.0,
             100.0 * cp_ok / cp_all if cp_all else 0.0,
-            lru / n,
+            miss / n,  # plain LRU is the set-LRU L1 just priced
             biased / n,
         )
     result.notes.append(

@@ -405,7 +405,6 @@ def main(argv: List[str] | None = None) -> int:
             backoff_s=args.backoff,
             isolate=not args.no_isolate,
             check_invariants=not args.no_invariants,
-            strict=args.strict,
             jobs=jobs,
             breaker_threshold=args.breaker,
         )

@@ -58,12 +58,12 @@ def run(params: ExperimentParams = DEFAULT_PARAMS) -> ExperimentResult:
         traces = [build(a_name, params.n_refs, params.seed),
                   build(b_name, params.n_refs, params.seed)]
 
+        base_run = simulate_shared(traces, BASELINE, warmup_fraction=warm)
         penalties = sharing_penalties(
-            traces, BASELINE, warmup_fraction=warm
+            traces, base_run, BASELINE, warmup_fraction=warm
         )
         solo = sum(p.solo_miss_rate for p in penalties) / 2
         shared = sum(p.shared_miss_rate for p in penalties) / 2
-        base_run = simulate_shared(traces, BASELINE, warmup_fraction=warm)
         conflict_share = (
             100.0
             * base_run.combined.conflict_misses_predicted

@@ -50,7 +50,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro import faults
 from repro.experiments.base import ExperimentParams, ExperimentResult
@@ -97,7 +97,6 @@ class HarnessConfig:
     jitter: float = 0.25
     isolate: bool = True
     check_invariants: bool = True
-    strict: bool = False
     jobs: int = 1
     breaker_threshold: int = 5
 
@@ -556,18 +555,3 @@ def run_cells(
         run_dir.save_report(report.to_dict())
     return report
 
-
-def results_by_cell(
-    specs: List[CellSpec],
-    report: RunReport,
-    run_dir: RunDirectory,
-) -> Dict[str, ExperimentResult]:
-    """Reload every completed cell's artifact from disk (post-run helper)."""
-    out: Dict[str, ExperimentResult] = {}
-    completed = {c.cell_id for c in report.cells if c.status.completed}
-    for spec in specs:
-        if spec.cell_id in completed:
-            loaded = run_dir.load_cell(spec.cell_id)
-            if loaded is not None:
-                out[spec.cell_id] = loaded
-    return out

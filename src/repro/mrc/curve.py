@@ -20,11 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.cache.fully_assoc import FullyAssociativeLRU
-from repro.mrc.stack import StackProfile, compute_profile
-
-
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+from repro.mrc.stack import StackProfile, _is_pow2, compute_profile
 
 
 def default_size_ladder(

@@ -7,7 +7,7 @@ interleave without tearing (each event is written as a single small
 ``write()``; lines identify their emitting process and cell, so readers
 never rely on global ordering).
 
-Event vocabulary (``schema`` 1):
+Event vocabulary (``schema`` 1; :data:`REQUIRED_FIELDS` is the table):
 
 ==============  =====================================================
 ``run_start``   one per campaign: params, cell list, jobs
@@ -53,26 +53,29 @@ from repro.obs.config import ObsConfig
 #: Version of the event-line layout; bump on any incompatible change.
 EVENT_SCHEMA = 1
 
+#: The event schema: every type this version may emit, with the fields
+#: it must carry (beyond schema/type/ts/pid).  The emitter and the
+#: validator (:mod:`repro.obs.validate`) both read this one table.
+REQUIRED_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "run_start": ("params", "cells", "jobs"),
+    "run_end": ("summary", "ok"),
+    "span": ("name", "span_id", "parent_id", "start_ts", "end_ts", "duration_s"),
+    "sim_start": ("sim", "bench", "policy", "refs", "warmup"),
+    "engine_fallback": ("bench", "policy", "reason"),
+    "heartbeat": ("sim", "refs_done", "refs_per_sec"),
+    "counters": ("sim", "delta"),
+    "sim_end": ("sim", "refs", "wall_s", "final"),
+    "mrc_start": ("sim", "bench", "mode", "refs", "sizes"),
+    "mrc_point": ("sim", "size_lines", "misses", "miss_ratio"),
+    "mrc_end": ("sim", "points", "wall_s"),
+    "session_open": ("session", "tenant", "cache_kb", "max_blocks"),
+    "batch": ("session", "refs"),
+    "answer": ("session", "what"),
+    "session_close": ("session", "refs", "batches", "answers", "reason"),
+}
+
 #: Every event type this schema version may emit.
-EVENT_TYPES = frozenset(
-    {
-        "run_start",
-        "run_end",
-        "span",
-        "sim_start",
-        "engine_fallback",
-        "heartbeat",
-        "counters",
-        "sim_end",
-        "mrc_start",
-        "mrc_point",
-        "mrc_end",
-        "session_open",
-        "batch",
-        "answer",
-        "session_close",
-    }
-)
+EVENT_TYPES = frozenset(REQUIRED_FIELDS)
 
 
 class EventLog:

@@ -23,51 +23,8 @@ from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, cast
 
-from repro.obs.events import EVENT_SCHEMA, EVENT_TYPES
+from repro.obs.events import EVENT_SCHEMA, REQUIRED_FIELDS
 from repro.obs.metrics import Number, reconcile
-
-#: Fields each event type must carry (beyond schema/type/ts/pid).
-REQUIRED_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "run_start": ("params", "cells", "jobs"),
-    "run_end": ("summary", "ok"),
-    "span": ("name", "span_id", "parent_id", "start_ts", "end_ts", "duration_s"),
-    "sim_start": ("sim", "bench", "policy", "refs", "warmup"),
-    "engine_fallback": ("bench", "policy", "reason"),
-    "heartbeat": ("sim", "refs_done", "refs_per_sec"),
-    "counters": ("sim", "delta"),
-    "sim_end": ("sim", "refs", "wall_s", "final"),
-    "mrc_start": ("sim", "bench", "mode", "refs", "sizes"),
-    "mrc_point": ("sim", "size_lines", "misses", "miss_ratio"),
-    "mrc_end": ("sim", "points", "wall_s"),
-    "session_open": ("session", "tenant", "cache_kb", "max_blocks"),
-    "batch": ("session", "refs"),
-    "answer": ("session", "what"),
-    "session_close": ("session", "refs", "batches", "answers", "reason"),
-}
-
-
-def schema_drift() -> List[str]:
-    """Disagreements between the emit side and the validate side.
-
-    ``EVENT_TYPES`` (what :class:`~repro.obs.events.EventLog` will emit)
-    and :data:`REQUIRED_FIELDS` (what this validator accepts) are the two
-    halves of one contract; a name on one side only means either events
-    that can never validate or dead schema entries.  The CLI refuses to
-    run with a drifted schema, and the ``RPR032`` static check enforces
-    the same rule at lint time — both sides fail, neither just warns.
-    """
-    problems: List[str] = []
-    for name in sorted(EVENT_TYPES - set(REQUIRED_FIELDS)):
-        problems.append(
-            f"schema drift: {name!r} in EVENT_TYPES but REQUIRED_FIELDS "
-            f"does not know its required fields"
-        )
-    for name in sorted(set(REQUIRED_FIELDS) - EVENT_TYPES):
-        problems.append(
-            f"schema drift: {name!r} in REQUIRED_FIELDS but the emitter "
-            f"would reject it (not in EVENT_TYPES)"
-        )
-    return problems
 
 
 def split_torn_tail(text: str) -> Tuple[List[str], Optional[str]]:
@@ -122,10 +79,7 @@ def validate_lines(
             )
             continue
         etype = event.get("type")
-        if etype not in EVENT_TYPES or etype not in REQUIRED_FIELDS:
-            # Absent from either side of the schema is a hard failure:
-            # a type the emitter knows but the validator does not (or
-            # vice versa) must fail the stream, not crash or pass.
+        if etype not in REQUIRED_FIELDS:
             problems.append(
                 f"line {lineno}: event type {etype!r} absent from schema"
             )
@@ -262,17 +216,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not path.is_file():
         print(f"validate: no such file: {path}", file=sys.stderr)
         return 2
-
-    drift = schema_drift()
-    if drift:
-        for problem in drift:
-            print(f"validate: {problem}", file=sys.stderr)
-        print(
-            f"validate: FAIL ({len(drift)} schema drift problem(s) — fix "
-            f"repro.obs before validating streams)",
-            file=sys.stderr,
-        )
-        return 1
 
     lines, torn_warning = split_torn_tail(path.read_text())
     if torn_warning:

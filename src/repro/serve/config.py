@@ -24,6 +24,12 @@ BYTES_PER_SAMPLED_BLOCK = 8192
 MIN_MAX_BLOCKS = 64
 MAX_MAX_BLOCKS = 65536
 
+#: Largest direct-mapped L1 an ``open`` frame may ask for, in sets.  A
+#: session carries two int64 arrays of ``num_sets`` (each set's resident
+#: block and last victim), so this is 1 MiB of per-set state, the same
+#: cap as the SHARDS sample; 4096 KB of 64-byte lines fills it exactly.
+MAX_SESSION_SETS = 65536
+
 
 def max_blocks_for_budget(budget_bytes: int) -> int:
     """Translate a per-tenant byte budget into a SHARDS sample bound.

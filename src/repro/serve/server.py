@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro import faults
 from repro.faults.plan import InjectedCrash
 from repro.obs import events
-from repro.serve.config import ServeConfig, max_blocks_for_budget
+from repro.serve.config import MAX_SESSION_SETS, ServeConfig, max_blocks_for_budget
 from repro.serve.pipeline import TenantPipeline
 from repro.serve.protocol import FrameError, read_frame, write_frame
 
@@ -272,6 +272,14 @@ class ConflictServer:
         seed = _as_int(frame.get("seed", 0), "seed")
         tag_bits_raw = frame.get("tag_bits")
         tag_bits = None if tag_bits_raw is None else _as_int(tag_bits_raw, "tag_bits")
+        # Bounded before the pipeline allocates its per-set arrays; a
+        # line_size below 2 is refused by the pipeline itself.
+        if line_size > 0 and cache_kb * 1024 // line_size > MAX_SESSION_SETS:
+            raise FrameError(
+                f"cache_kb {cache_kb} at line_size {line_size} is "
+                f"{cache_kb * 1024 // line_size} sets; a session's L1 may "
+                f"have at most {MAX_SESSION_SETS}"
+            )
         pipeline = TenantPipeline(
             cache_kb=cache_kb,
             line_size=line_size,
@@ -411,9 +419,6 @@ class ConflictServer:
     def state_entries(self) -> int:
         """Aggregate structural footprint across live pipelines."""
         return sum(s.pipeline.state_entries() for s in self._sessions.values())
-
-    def session_tenants(self) -> List[str]:
-        return sorted(s.tenant for s in self._sessions.values())
 
 
 def _as_int(value: object, field: str) -> int:

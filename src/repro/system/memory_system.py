@@ -129,19 +129,16 @@ class MemorySystem:
         This mirrors the paper's methodology of skipping the first billion
         instructions before measuring: short synthetic traces would
         otherwise be dominated by the compulsory cold-start transient.
+        ``self.stats`` holds the caches' and buffer's own counter
+        objects, so its one fields()-driven reset zeroes all of them.
         """
-        self.l1.stats.reset()
-        self.l2.stats.reset()
+        self.stats.reset()
         if self.buffer is not None:
-            self.buffer.stats.reset()
             # The clock restarts at zero: in-flight prefetches from the
             # warmup period count as long since arrived.
             for entry in self.buffer._entries.values():
                 entry.ready_time = 0.0
         self.timing.reset_measurement()
-        # fields()-driven so a scalar counter added to SystemStats later
-        # is reset here automatically instead of leaking warmup counts.
-        self.stats.reset_scalars()
 
     def heartbeat_snapshot(self) -> Dict[str, float]:
         """Running-rate fields for observability heartbeats.

@@ -17,10 +17,10 @@ against its solo run on the same machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.cache.stats import SystemStats
+from repro.cache.stats import Counters, SystemStats
 from repro.system.config import MachineConfig, PAPER_MACHINE
 from repro.system.memory_system import MemorySystem
 from repro.system.policies import AssistConfig, BASELINE
@@ -29,8 +29,8 @@ from repro.workloads.trace import Trace
 
 
 @dataclass
-class ThreadStats:
-    """Per-thread view of a shared-cache run."""
+class ThreadStats(Counters):
+    """Per-thread view of a shared-cache run (``reset()`` keeps the name)."""
 
     name: str
     accesses: int = 0
@@ -44,22 +44,6 @@ class ThreadStats:
         """L1 misses not covered by the assist buffer, % of accesses."""
         uncovered = self.misses - self.buffer_hits
         return 100.0 * uncovered / self.accesses if self.accesses else 0.0
-
-    @property
-    def conflict_rate(self) -> float:
-        """MCT conflict misses as a percentage of this thread's accesses."""
-        return 100.0 * self.conflict_misses / self.accesses if self.accesses else 0.0
-
-    def reset(self) -> None:
-        """Zero every counter (the name survives).
-
-        Iterates :func:`~dataclasses.fields` so a counter added later is
-        reset too, instead of silently leaking warmup-period counts into
-        the measured window.
-        """
-        for f in fields(self):
-            if isinstance(getattr(self, f.name), int):
-                setattr(self, f.name, 0)
 
 
 @dataclass
@@ -165,6 +149,7 @@ class SharingPenalty:
 
 def sharing_penalties(
     traces: Sequence[Trace],
+    shared: SharedRunResult,
     policy: AssistConfig = BASELINE,
     machine: MachineConfig = PAPER_MACHINE,
     *,
@@ -172,12 +157,11 @@ def sharing_penalties(
 ) -> List[SharingPenalty]:
     """Each thread's shared-cache miss rate against its solo run.
 
-    Solo runs use the same per-thread reference count and warmup fraction
-    so the comparison is apples-to-apples.
+    ``shared`` is the caller's ``simulate_shared(traces, policy, machine,
+    warmup_fraction=warmup_fraction)``.  Solo runs use the same
+    per-thread reference count and warmup fraction so the comparison is
+    apples-to-apples.
     """
-    shared = simulate_shared(
-        traces, policy, machine, warmup_fraction=warmup_fraction
-    )
     n = min(len(t) for t in traces)
     out: List[SharingPenalty] = []
     for trace in traces:

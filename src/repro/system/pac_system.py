@@ -14,6 +14,7 @@ from repro.cache.pseudo_assoc import PacHit, PacVariant, PseudoAssociativeCache
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import SystemStats
 from repro.system.config import MachineConfig, PAPER_MACHINE
+from repro.system.simulator import check_warmup
 from repro.system.timing import TimingModel
 from repro.workloads.trace import Trace
 
@@ -63,12 +64,11 @@ class PacMemorySystem:
         self.timing.issue_miss(latency, start=bus_start)
 
     def reset_measurement(self) -> None:
-        self.l1.stats.reset()
+        """Zero every statistic and the cycle clock, keeping the caches warm."""
+        self.stats.reset()  # holds the L1's and L2's own counter objects
         self.l1.primary_hits = 0
         self.l1.secondary_hits = 0
-        self.l2.stats.reset()
         self.timing.reset_measurement()
-        self.stats.reset_scalars()
 
     def finish(self) -> SystemStats:
         self.stats.timing = self.timing.finish()
@@ -82,9 +82,12 @@ def simulate_pac(
     *,
     warmup: int = 0,
 ) -> SystemStats:
-    """Run a trace through a pseudo-associative memory system."""
-    if not 0 <= warmup <= len(trace):
-        raise ValueError(f"warmup {warmup} outside [0, {len(trace)}]")
+    """Run a trace through a pseudo-associative memory system.
+
+    ``warmup`` must leave at least one reference to measure, as in
+    :func:`~repro.system.simulator.simulate`.
+    """
+    check_warmup(warmup, len(trace))
     system = PacMemorySystem(variant, machine)
     access = system.access
     # Native lists once, as in repro.system.simulator.simulate(): indexing

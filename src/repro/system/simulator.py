@@ -62,6 +62,15 @@ def validate_engine_env() -> Optional[str]:
 _Ref = Tuple[int, bool, int]
 
 
+def check_warmup(warmup: int, refs: int) -> None:
+    """Refuse a warmup that leaves none of ``refs`` references to measure."""
+    if not 0 <= warmup < refs:
+        raise ValueError(
+            f"warmup {warmup} must lie in [0, {refs}) so at least one "
+            f"of the trace's {refs} references is measured"
+        )
+
+
 def simulate(
     trace: Trace,
     policy: AssistConfig,
@@ -94,11 +103,7 @@ def simulate(
     time the wrong engine.  The engines are byte-identical, so auto's
     fallback never changes results.
     """
-    if not 0 <= warmup < len(trace):
-        raise ValueError(
-            f"warmup {warmup} must lie in [0, {len(trace)}) so at least one "
-            f"of the trace's {len(trace)} references is measured"
-        )
+    check_warmup(warmup, len(trace))
     resolved = engine
     if resolved == "auto":
         resolved = os.environ.get(ENGINE_ENV_VAR, "auto")

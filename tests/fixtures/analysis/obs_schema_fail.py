@@ -1,12 +1,12 @@
 # repro-analysis-scope: src obs
-"""Failing fixture for obs-schema: RPR030, RPR031, RPR032."""
-
-EVENT_TYPES = frozenset({"run_start", "ghost_event"})  # RPR031/RPR032
+"""Failing fixture for obs-schema: RPR030, RPR031."""
 
 REQUIRED_FIELDS = {
     "run_start": ("params",),
-    "orphan_event": (),  # RPR031/RPR032
+    "orphan_event": (),  # RPR031: never emitted
 }
+
+EVENT_TYPES = frozenset(REQUIRED_FIELDS)
 
 
 def emit_all(log) -> None:

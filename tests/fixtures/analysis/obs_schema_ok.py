@@ -1,12 +1,14 @@
 # repro-analysis-scope: src obs
-"""Passing fixture for obs-schema: both sides agree exactly."""
+"""Passing fixture for obs-schema: every schema name is emitted."""
 
-EVENT_TYPES = frozenset({"run_start", "run_end"})
+from typing import Dict, Tuple
 
-REQUIRED_FIELDS = {
+REQUIRED_FIELDS: Dict[str, Tuple[str, ...]] = {
     "run_start": ("params",),
     "run_end": ("ok",),
 }
+
+EVENT_TYPES = frozenset(REQUIRED_FIELDS)
 
 
 def emit_all(log) -> None:

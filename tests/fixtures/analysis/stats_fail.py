@@ -1,19 +1,13 @@
 # repro-analysis-scope: src
-"""Failing fixture for stats-completeness: RPR001, RPR002, RPR003."""
+"""Failing fixture for stats-completeness: RPR003."""
 
 from dataclasses import dataclass
 
 
 @dataclass
 class BrokenStats:
+    """No reset() or merge() of its own: still visited."""
+
     hits: int = 0
     misses: int = 0
     latency_sum: float = 0.0  # RPR003: float counter
-
-    def reset(self) -> None:  # RPR001: hand-enumerated
-        self.hits = 0
-        self.misses = 0
-
-    def merge(self, other: "BrokenStats") -> None:  # RPR002: drops latency_sum
-        self.hits += other.hits
-        self.misses += other.misses

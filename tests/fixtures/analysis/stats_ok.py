@@ -1,7 +1,7 @@
 # repro-analysis-scope: src
 """Passing fixture for stats-completeness."""
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass
@@ -9,21 +9,10 @@ class GoodStats:
     hits: int = 0
     misses: int = 0
 
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    def merge(self, other: "GoodStats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
 
 @dataclass
-class PositionConfig:
-    """Not stats-like (no Stats suffix): a rewinding reset is fine."""
+class LatencyConfig:
+    """Not stats-like (no Stats suffix): float knobs are fine."""
 
-    base: int = 0
-    stride: int = 32
-
-    def reset(self) -> None:
-        self.base = 0
+    scale: float = 0.0
+    offset: float = 0.0

@@ -38,7 +38,7 @@ def as_files(entry) -> tuple:
 
 
 FAMILIES = [
-    ("stats_fail.py", "stats_ok.py", {"RPR001", "RPR002", "RPR003"}),
+    ("stats_fail.py", "stats_ok.py", {"RPR003"}),
     (
         "determinism_fail.py",
         "determinism_ok.py",
@@ -51,7 +51,7 @@ FAMILIES = [
     ),
     # The service's event loop: blocking calls inside async defs.
     ("asyncio_fail.py", "asyncio_ok.py", {"RPR080", "RPR081"}),
-    ("obs_schema_fail.py", "obs_schema_ok.py", {"RPR030", "RPR031", "RPR032"}),
+    ("obs_schema_fail.py", "obs_schema_ok.py", {"RPR030", "RPR031"}),
     ("hotpath_fail.py", "hotpath_ok.py", {"RPR040", "RPR041", "RPR042"}),
     ("durability_fail.py", "durability_ok.py", {"RPR050", "RPR051"}),
     # The mrc package is registered simcore scope: determinism and
@@ -141,8 +141,8 @@ def test_suppressed_helper_matches_codes():
     v = Violation("RPR010", "m", "f.py", 1, 1, "c")
     assert suppressed(v, ["x = 1  # repro: noqa"])
     assert suppressed(v, ["x = 1  # repro: noqa[RPR010]"])
-    assert suppressed(v, ["x = 1  # repro: noqa[RPR001, RPR010]"])
-    assert not suppressed(v, ["x = 1  # repro: noqa[RPR001]"])
+    assert suppressed(v, ["x = 1  # repro: noqa[RPR003, RPR010]"])
+    assert not suppressed(v, ["x = 1  # repro: noqa[RPR003]"])
     assert not suppressed(v, ["x = 1  # noqa"])
 
 
@@ -204,7 +204,7 @@ def test_cli_exit_zero_on_clean(capsys):
 def test_cli_exit_one_on_violations(capsys):
     assert main([str(FIXTURES / "stats_fail.py")]) == 1
     captured = capsys.readouterr()
-    assert "RPR001" in captured.out
+    assert "RPR003" in captured.out
     assert "FAIL" in captured.err
 
 
@@ -213,19 +213,20 @@ def test_cli_exit_two_on_missing_path(capsys):
 
 
 def test_cli_json_output(capsys):
-    assert main([str(FIXTURES / "stats_fail.py"), "--json"]) == 1
+    assert main([str(FIXTURES / "determinism_fail.py"), "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["files_checked"] == 1
     codes = {v["code"] for v in payload["violations"]}
-    assert codes == {"RPR001", "RPR002", "RPR003"}
+    assert codes == {"RPR010", "RPR011", "RPR012", "RPR013"}
     first = payload["violations"][0]
     assert {"code", "message", "path", "line", "col", "checker"} <= set(first)
 
 
 def test_cli_select_filters_codes(capsys):
-    assert main([str(FIXTURES / "stats_fail.py"), "--select", "RPR001"]) == 1
+    assert main([str(FIXTURES / "determinism_fail.py"), "--select", "RPR010"]) == 1
     out = capsys.readouterr().out
-    assert "RPR001" in out and "RPR002" not in out and "RPR003" not in out
+    assert "RPR010" in out
+    assert "RPR011" not in out and "RPR012" not in out and "RPR013" not in out
 
 
 def test_cli_select_prefix_family(capsys):
@@ -249,21 +250,22 @@ def test_cli_unknown_prefix_exits_two(option, bogus, capsys):
 
 
 def test_cli_format_json_matches_json_flag(capsys):
-    assert main([str(FIXTURES / "stats_fail.py"), "--format", "json"]) == 1
+    assert main([str(FIXTURES / "determinism_fail.py"), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert {v["code"] for v in payload["violations"]} == {
-        "RPR001",
-        "RPR002",
-        "RPR003",
+        "RPR010",
+        "RPR011",
+        "RPR012",
+        "RPR013",
     }
 
 
 def test_cli_format_github_emits_workflow_commands(capsys):
-    assert main([str(FIXTURES / "stats_fail.py"), "--format", "github"]) == 1
+    assert main([str(FIXTURES / "determinism_fail.py"), "--format", "github"]) == 1
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line]
     assert lines and all(line.startswith("::error file=") for line in lines)
-    assert any("title=RPR001" in line for line in lines)
+    assert any("title=RPR010" in line for line in lines)
     assert all(",line=" in line and ",col=" in line for line in lines)
 
 
@@ -273,23 +275,23 @@ def test_cli_format_github_clean_tree_prints_nothing(capsys):
 
 
 def test_cli_format_sarif_is_valid_minimal_log(capsys):
-    assert main([str(FIXTURES / "stats_fail.py"), "--format", "sarif"]) == 1
+    assert main([str(FIXTURES / "determinism_fail.py"), "--format", "sarif"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == "2.1.0"
     (run_obj,) = payload["runs"]
     rule_ids = {r["id"] for r in run_obj["tool"]["driver"]["rules"]}
     assert rule_ids == set(catalog())
     results = run_obj["results"]
-    assert {r["ruleId"] for r in results} == {"RPR001", "RPR002", "RPR003"}
+    assert {r["ruleId"] for r in results} == {"RPR010", "RPR011", "RPR012", "RPR013"}
     loc = results[0]["locations"][0]["physicalLocation"]
-    assert loc["artifactLocation"]["uri"].endswith("stats_fail.py")
+    assert loc["artifactLocation"]["uri"].endswith("determinism_fail.py")
     assert loc["region"]["startLine"] >= 1
 
 
 def test_cli_list_checkers(capsys):
     assert main(["--list-checkers"]) == 0
     out = capsys.readouterr().out
-    for code in ("RPR001", "RPR010", "RPR020", "RPR030", "RPR040"):
+    for code in ("RPR003", "RPR010", "RPR020", "RPR030", "RPR040"):
         assert code in out
 
 

@@ -12,7 +12,8 @@ import pytest
 
 from repro.experiments import assoc_sweep, fig1_accuracy, fig2_tag_bits, fig3_victim
 from repro.experiments import fig4_prefetch, fig5_exclusion, fig6_amb
-from repro.experiments import fig7_amb_hits, sec54_pseudo, table1_victim
+from repro.experiments import fig7_amb_hits, sec54_pseudo, sec56_multithreaded
+from repro.experiments import table1_victim
 from repro.experiments.base import (
     ExperimentParams,
     ExperimentResult,
@@ -62,12 +63,14 @@ class TestFramework:
 
 
 class TestAccuracyTablesPinned:
-    """Figures 1-2 and the associativity sweep, byte for byte.
+    """Figures 1-2, the associativity sweep and §5.6, byte for byte.
 
     The digests were computed from the per-reference accuracy loop
     (set-LRU cache + MCT + simulating fully-associative oracle) that
     the vectorised pass replaced, so any drift in the shared L1 pass,
     the stack-distance ground truth or the table formatting fails here.
+    The sec56 digest comes from the experiment as it was before its
+    repeated shared run was dropped.
     """
 
     PARAMS = ExperimentParams(
@@ -77,11 +80,13 @@ class TestAccuracyTablesPinned:
         "fig1": "1f5afbdfe06488442e97743a41e019ccd7bad502566120d32eb27d24e2bafdd5",
         "fig2": "f1d98320556b651b4e1478edc66ec82514eb8539b20e87f9fc294f6fd311ec59",
         "assoc": "83f2d1ad9970be93b4c2c13f25d29f41914eac06f444fae6af862d5157dc591f",
+        "sec56": "de056601c1a49226d4e8d9f37ddbf56b81313a98c36b61930944208e29fe481c",
     }
 
     @pytest.mark.parametrize(
-        "experiment", [fig1_accuracy, fig2_tag_bits, assoc_sweep],
-        ids=["fig1", "fig2", "assoc"],
+        "experiment",
+        [fig1_accuracy, fig2_tag_bits, assoc_sweep, sec56_multithreaded],
+        ids=["fig1", "fig2", "assoc", "sec56"],
     )
     def test_table_digest(self, experiment):
         result = experiment.run(self.PARAMS)

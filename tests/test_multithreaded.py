@@ -81,7 +81,8 @@ class TestSimulateShared:
 class TestSharingPenalties:
     def test_reports_per_thread(self):
         traces = [build("go", 6_000), build("li", 6_000)]
-        pens = sharing_penalties(traces, warmup_fraction=0.25)
+        shared = simulate_shared(traces, warmup_fraction=0.25)
+        pens = sharing_penalties(traces, shared, warmup_fraction=0.25)
         assert [p.name for p in pens] == ["go", "li"]
         for p in pens:
             assert p.shared_miss_rate >= 0
@@ -93,7 +94,8 @@ class TestSharingPenalties:
         # go and li both keep hot sets low in the index space; sharing a
         # DM cache forces cross-thread conflicts.
         traces = [build("go", 8_000), build("li", 8_000)]
-        pens = sharing_penalties(traces, warmup_fraction=0.25)
+        shared = simulate_shared(traces, warmup_fraction=0.25)
+        pens = sharing_penalties(traces, shared, warmup_fraction=0.25)
         assert sum(p.penalty for p in pens) > 1.0
 
 

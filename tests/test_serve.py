@@ -36,7 +36,11 @@ from repro.serve import (
     encode_frame,
     max_blocks_for_budget,
 )
-from repro.serve.config import BYTES_PER_SAMPLED_BLOCK, MIN_MAX_BLOCKS
+from repro.serve.config import (
+    BYTES_PER_SAMPLED_BLOCK,
+    MAX_SESSION_SETS,
+    MIN_MAX_BLOCKS,
+)
 from repro.serve.loadgen import build_parser as loadgen_parser
 from repro.serve.loadgen import percentile, run_load
 from repro.serve.protocol import read_frame, write_frame
@@ -401,6 +405,48 @@ class TestServer:
         (close,) = [e for e in parsed if e["type"] == "session_close"]
         assert close["reason"] == "error" and close["refs"] == 0
 
+    @pytest.mark.parametrize(
+        "cache_kb", [1 << 34, 8192], ids=["2**34", "first-over-ceiling"]
+    )
+    def test_oversized_l1_open_refused_before_any_state(self, tmp_path, cache_kb):
+        # 2**34 KB once reached numpy as a 2 TiB allocation and killed
+        # the handler with no error frame.  At 64-byte lines the ceiling
+        # is exactly 4096 KB; 8192 KB is the first legal size over it.
+        path = tmp_path / "ev.jsonl"
+        largest = MAX_SESSION_SETS * 64 // 1024
+
+        async def scenario():
+            events.activate(ObsConfig(events_path=str(path)))
+            try:
+                server = ConflictServer(self._config(tmp_path))
+                await server.start()
+                r, w = await _client(server.config.socket_path)
+                refused = await _rpc(
+                    r, w, {"op": "open", "tenant": "big", "cache_kb": cache_kb}
+                )
+                assert not refused["ok"] and "cache_kb" in refused["error"]
+                w.close()
+                assert server.live_sessions() == 0 and server.accepted == 0
+                r, w = await _client(server.config.socket_path)
+                opened = await _rpc(
+                    r, w, {"op": "open", "tenant": "max", "cache_kb": largest}
+                )
+                assert opened["ok"], opened
+                assert (await _rpc(r, w, {"op": "batch", "addrs": [0, 64]}))["ok"]
+                assert (await _rpc(r, w, {"op": "close"}))["ok"]
+                w.close()
+                await server.stop()
+            finally:
+                events.deactivate()
+
+        run(scenario())
+        lines, _ = split_torn_tail(path.read_text())
+        parsed, problems = validate_lines(lines)
+        assert not problems
+        assert reconcile_events(parsed) == (1, [])
+        opens = [e for e in parsed if e["type"] == "session_open"]
+        assert [(e["tenant"], e["cache_kb"]) for e in opens] == [("max", largest)]
+
     def test_zero_tag_bits_open_refused(self, tmp_path):
         async def scenario():
             server = ConflictServer(self._config(tmp_path))
@@ -538,6 +584,41 @@ def _wait_for_socket(path, proc, timeout=15.0):
                 probe.close()
         time.sleep(0.05)
     return False
+
+
+class TestServerProcess:
+    def test_oversized_l1_open_gets_error_frame_without_traceback(self, tmp_path):
+        sock = str(tmp_path / "serve.sock")
+        env = {**os.environ, "PYTHONPATH": "src"}
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--socket", sock,
+             "--max-runtime", "60"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+
+        async def rpc(frame):
+            reader, writer = await asyncio.open_unix_connection(sock)
+            await write_frame(writer, frame)
+            reply = await read_frame(reader)
+            writer.close()
+            return reply
+
+        try:
+            assert _wait_for_socket(sock, server), "server never came up"
+            reply = run(rpc({"op": "open", "tenant": "t", "cache_kb": 1 << 34}))
+            assert reply is not None and not reply["ok"]
+            assert "cache_kb" in reply["error"]
+            assert run(rpc({"op": "shutdown"}))["stopping"]
+            _, stderr = server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+        assert server.returncode == 0, stderr
+        assert "Traceback" not in stderr, stderr
 
 
 class TestCrashConsistency:

@@ -46,6 +46,13 @@ class TestSimulate:
             simulate(t, BASELINE, warmup=-1)
         stats = simulate(t, BASELINE, warmup=len(t) - 1)
         assert stats.l1.accesses == 1
+        # simulate_pac holds the same bound and message.
+        with pytest.raises(ValueError, match="at least one"):
+            simulate_pac(t, warmup=len(t))
+        with pytest.raises(ValueError, match="at least one"):
+            simulate_pac(t, warmup=-1)
+        pac = simulate_pac(t, warmup=len(t) - 1)
+        assert pac.l1.accesses == 1 and pac.timing.cycles > 0
 
     def test_deterministic(self):
         t = trace([0x1000 + (i * 2741) % 65536 for i in range(500)])

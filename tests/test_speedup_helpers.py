@@ -25,6 +25,10 @@ class TestRunPoliciesOverSuite:
         assert stats["go"]["V cache"].l1.accesses == measured
         assert stats["li"]["V cache"].l1.accesses == measured
 
+    def test_duplicate_policy_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate policy name"):
+            run_policies_over_suite([traditional(), traditional()], PARAMS, ["go"])
+
 
 class TestSpeedupTable:
     def test_structure_and_average(self):

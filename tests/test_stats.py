@@ -1,12 +1,19 @@
 """Unit tests for the statistics containers."""
 
+import dataclasses
+import importlib
+import pkgutil
+
+import repro
 from repro.cache.stats import (
     BufferStats,
     CacheStats,
     ClassificationStats,
+    Counters,
     SystemStats,
     TimingStats,
 )
+from repro.system.multithreaded import ThreadStats
 
 
 class TestCacheStats:
@@ -95,3 +102,63 @@ class TestSystemStats:
         s.buffer = BufferStats(hits=10)
         assert s.total_hit_rate == 90.0
         assert s.effective_miss_rate == 10.0
+
+
+def _own_counter_methods(cls: type) -> list:
+    """``reset``/``merge`` written on a ``*Stats`` dataclass itself.
+
+    Only :class:`Counters` may define them: a hand-written copy on a
+    subclass is how a counter added later once survived warmup resets
+    or dropped out of multi-thread rollups.
+    """
+    if not (dataclasses.is_dataclass(cls) and cls.__name__.endswith("Stats")):
+        return []
+    return [name for name in ("reset", "merge") if name in vars(cls)]
+
+
+class TestOneCountersImplementation:
+    def test_no_stats_dataclass_defines_its_own_reset_or_merge(self):
+        own = {}
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            for obj in vars(module).values():
+                if isinstance(obj, type) and obj.__module__ == module.__name__:
+                    own[f"{info.name}.{obj.__qualname__}"] = _own_counter_methods(obj)
+        assert {
+            "repro.cache.stats.CacheStats",
+            "repro.cache.stats.BufferStats",
+            "repro.cache.stats.ClassificationStats",
+            "repro.cache.stats.TimingStats",
+            "repro.cache.stats.SystemStats",
+            "repro.system.multithreaded.ThreadStats",
+        } <= set(own)
+        assert {name: methods for name, methods in own.items() if methods} == {}
+        assert "reset" in vars(Counters) and "merge" in vars(Counters)
+
+    def test_predicate_flags_a_hand_written_reset(self):
+        @dataclasses.dataclass
+        class HandStats(Counters):
+            hits: int = 0
+            misses: int = 0
+
+            def reset(self) -> None:
+                self.hits = 0
+
+        assert _own_counter_methods(HandStats) == ["reset"]
+        assert _own_counter_methods(ThreadStats) == []
+
+    def test_reset_keeps_types_and_non_counters(self):
+        t = ThreadStats(name="go", accesses=3, misses=1)
+        t.reset()
+        assert t == ThreadStats(name="go")
+        timing = TimingStats(cycles=2.5, instructions=4)
+        timing.reset()
+        assert type(timing.cycles) is float and timing.instructions == 0
+        s = SystemStats(memory_accesses=2)
+        s.l1.hits = 5
+        other = SystemStats(memory_accesses=1)
+        other.l1.hits = 1
+        s.merge(other)
+        assert s.memory_accesses == 3 and s.l1.hits == 6
+        s.reset()
+        assert s == SystemStats()
