@@ -22,7 +22,6 @@ from repro.analysis.checkers.hotpath import HotPathChecker
 from repro.analysis.checkers.numpy_hygiene import NumpyHygieneChecker
 from repro.analysis.checkers.obs_schema import ObsSchemaChecker
 from repro.analysis.checkers.stats import StatsCompletenessChecker
-from repro.analysis.checkers.stats_contract import StatsContractChecker
 from repro.analysis.core import Checker
 
 ALL_CHECKERS: List[Type[Checker]] = [
@@ -34,7 +33,6 @@ ALL_CHECKERS: List[Type[Checker]] = [
     HotPathChecker,
     DurabilityChecker,
     NumpyHygieneChecker,
-    StatsContractChecker,
 ]
 
 

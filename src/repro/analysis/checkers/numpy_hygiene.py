@@ -102,7 +102,7 @@ class NumpyHygieneChecker(Checker):
     tags: Optional[FrozenSet[str]] = frozenset({"simcore"})
 
     def check_module(self, module: ModuleInfo) -> Iterator[Violation]:
-        flow = module.dataflow()
+        flow = DataflowAnalysis(module.tree)
         yield from self._check_sorts(module, flow)
         yield from self._check_reductions(module, flow)
         yield from self._check_loop_astype(module)

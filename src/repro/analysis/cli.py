@@ -128,8 +128,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.analysis",
         description="Repo-specific static analysis (simlint): stats "
         "completeness, determinism, scheduler concurrency, obs schema "
-        "coherence, hot-path hygiene, durability, numpy dtype/stability "
-        "hygiene and the cross-engine stats contract.",
+        "coherence, hot-path hygiene, durability and numpy dtype/stability "
+        "hygiene.",
     )
     parser.add_argument(
         "paths", nargs="*", metavar="PATH", help="files or directories to check"

@@ -28,9 +28,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-from repro.analysis.dataflow import DataflowAnalysis
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 #: Sub-packages of ``repro`` forming the deterministic simulation core.
 SIMCORE_PACKAGES = frozenset(
@@ -78,21 +76,6 @@ class ModuleInfo:
     tree: ast.Module
     lines: List[str]
     tags: FrozenSet[str]
-    _dataflow: Optional[DataflowAnalysis] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def dataflow(self) -> DataflowAnalysis:
-        """Flow analysis of this module, built on first use and cached.
-
-        Resolves against classes defined *in this module* only; a
-        checker that needs classes from other files (the stats-contract
-        join) builds its own :class:`DataflowAnalysis` with a merged
-        class table in ``finalize``.
-        """
-        if self._dataflow is None:
-            self._dataflow = DataflowAnalysis(self.tree)
-        return self._dataflow
 
     def violation(
         self, checker: "Checker", code: str, node: ast.AST, message: str

@@ -1,37 +1,28 @@
 """Flow-aware name resolution for simlint checkers.
 
-The PR-4 checkers were purely syntactic: they could see that a call is
-spelled ``np.cumsum(...)`` but not what flows into it.  The invariants
-the vector engine leans on (PR 7/8) are *semantic*: a sort is only a
-problem when the sorted thing is a numpy array and the kind is not
-stable; a ``.sum()`` is only an overflow hazard when the summed array's
-dtype is narrower than int64; a ``stats.l1.hits`` store is only part of
-the engine contract when ``stats`` really is a ``SystemStats``.
+A syntactic checker can see that a call is spelled ``np.cumsum(...)``
+but not what flows into it.  The numpy-hygiene rules (RPR060-064) are
+*semantic*: a sort is only a problem when the sorted thing is a numpy
+array and the kind is not stable; a ``.sum()`` is only an overflow
+hazard when the summed array's dtype is narrower than int64.
 
 This module provides the small abstract interpreter those rules need:
 
 * an **abstract-value lattice** — :class:`Const` (literal constants,
   folded through arithmetic), :class:`Array` (a numpy array with a
   tracked dtype and a provenance string), :class:`Instance` (an object
-  of a known class, remembering the *field path* from the root object it
-  was aliased off, e.g. ``stats.l1``), and :data:`UNKNOWN` (top);
+  of a class defined in the module) and :data:`UNKNOWN` (top);
 * a **forward binding pass** over each scope in source order with joins
   at ``if``/``try`` merges and conservative demotion of loop-carried
-  names, so ``l1 = stats.l1`` aliasing and ``x = x.astype(np.int64)``
-  re-binding both resolve;
+  names, so ``x = x.astype(np.int64)`` re-binding resolves;
 * a **class table** (:func:`collect_classes`) mapping class names to
-  their annotated fields, methods and properties — built per module and
-  optionally merged with classes collected from *other* modules, which
-  is how the cross-engine stats-contract checker resolves
-  ``SystemStats()`` constructed in ``system/vector.py`` against the
-  dataclass declared in ``cache/stats.py``;
-* an **attribute-write log** (:class:`AttributeWrite`): every
-  ``obj.attr = ...`` / ``obj.attr += ...`` with the abstract value of
-  ``obj`` at that point — the raw material for the write-set contract.
+  their annotated fields, plus the ``self.X`` values their methods
+  assign, so ``self.gaps.sum()`` resolves to the dtype ``__init__``
+  stored (RPR061's ``Trace.gaps`` find).
 
 Checkers query a finished analysis with :meth:`DataflowAnalysis.value_of`
-(any expression node in the tree), :meth:`~DataflowAnalysis.binding`
-(final module-level value of a name) and the ``attribute_writes`` list.
+(any expression node in the tree) and :meth:`~DataflowAnalysis.binding`
+(final module-level value of a name).
 The pass is deliberately *optimistic about straight lines and
 pessimistic about everything else*: a value it cannot prove is
 ``UNKNOWN``, and checkers are written so ``UNKNOWN`` never fires a
@@ -42,12 +33,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 __all__ = [
     "UNKNOWN",
     "Array",
-    "AttributeWrite",
     "ClassInfo",
     "Const",
     "DataflowAnalysis",
@@ -101,15 +91,9 @@ class Array(Value):
 
 @dataclass(frozen=True)
 class Instance(Value):
-    """An object of class ``cls``, reached from an object of class
-    ``root`` through attribute ``path``.  A freshly constructed object
-    has ``root == cls`` and an empty path; ``l1 = stats.l1`` where
-    ``stats`` is a ``SystemStats`` yields
-    ``Instance(cls="CacheStats", root="SystemStats", path=("l1",))``."""
+    """An object of class ``cls``, a class in the module's table."""
 
     cls: str
-    root: str
-    path: Tuple[str, ...] = ()
 
 
 def join(a: Value, b: Value) -> Value:
@@ -216,14 +200,10 @@ def _promote(a: Optional[str], b: Optional[str]) -> Optional[str]:
 # ----------------------------------------------------------------------
 @dataclass
 class ClassInfo:
-    """Shape of one class: annotated fields, methods, properties, and
-    (filled in while its module is analysed) inferred ``self.X`` types."""
+    """Shape of one class: annotated fields and (filled in while its
+    module is analysed) inferred ``self.X`` types."""
 
-    name: str
     fields: Dict[str, Optional[str]] = field(default_factory=dict)
-    methods: FrozenSet[str] = frozenset()
-    properties: FrozenSet[str] = frozenset()
-    is_dataclass: bool = False
     #: ``self.X`` -> joined abstract value, accumulated during analysis.
     attr_types: Dict[str, Value] = field(default_factory=dict)
 
@@ -262,59 +242,19 @@ _NDARRAY_ANNS = frozenset(
 )
 
 
-def _class_is_dataclass(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = _annotation_str(target)
-        if name in {"dataclass", "dataclasses.dataclass"}:
-            return True
-    return False
-
-
 def collect_classes(tree: ast.AST) -> Dict[str, ClassInfo]:
     """Class table for every ClassDef in ``tree`` (no dataflow yet)."""
     table: Dict[str, ClassInfo] = {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        fields: Dict[str, Optional[str]] = {}
-        methods: Set[str] = set()
-        properties: Set[str] = set()
-        for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                fields[stmt.target.id] = _annotation_str(stmt.annotation)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                deco_names = {_annotation_str(d) for d in stmt.decorator_list}
-                if deco_names & {"property", "cached_property", "functools.cached_property"}:
-                    properties.add(stmt.name)
-                else:
-                    methods.add(stmt.name)
-        table.setdefault(
-            node.name,
-            ClassInfo(
-                name=node.name,
-                fields=fields,
-                methods=frozenset(methods),
-                properties=frozenset(properties),
-                is_dataclass=_class_is_dataclass(node),
-            ),
-        )
+        fields = {
+            stmt.target.id: _annotation_str(stmt.annotation)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        }
+        table.setdefault(node.name, ClassInfo(fields))
     return table
-
-
-# ----------------------------------------------------------------------
-# Attribute writes
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class AttributeWrite:
-    """One ``obj.attr = value`` / ``obj.attr op= value`` store."""
-
-    node: ast.Attribute
-    base: Value
-    attr: str
-    value: Value
-    augmented: bool
-    scope: str
 
 
 def assigned_names(stmts: Iterable[ast.stmt]) -> Set[str]:
@@ -381,29 +321,18 @@ def _numpy_aliases(tree: ast.AST) -> Set[str]:
 class DataflowAnalysis:
     """One forward abstract-interpretation pass over a parsed module.
 
-    ``extra_classes`` merges a class table collected from *other*
-    modules (locally defined classes win); the cross-file stats-contract
-    checker uses this to resolve constructors of imported dataclasses.
     The instance is immutable after construction — checkers only query.
     """
 
-    def __init__(
-        self,
-        tree: ast.Module,
-        extra_classes: Optional[Mapping[str, ClassInfo]] = None,
-    ) -> None:
+    def __init__(self, tree: ast.Module) -> None:
         self.tree = tree
-        self.classes: Dict[str, ClassInfo] = dict(extra_classes or {})
-        self.classes.update(collect_classes(tree))
+        self.classes: Dict[str, ClassInfo] = collect_classes(tree)
         self.numpy_aliases: FrozenSet[str] = frozenset(_numpy_aliases(tree))
-        self.attribute_writes: List[AttributeWrite] = []
-        #: class name -> first ``Cls()`` constructor call seen (anchor node).
-        self.instantiations: Dict[str, ast.Call] = {}
         self._name_values: Dict[int, Value] = {}
         self._func_returns: Dict[str, Value] = {}
         self._module_env: Dict[str, Value] = {}
         self._collect_function_returns()
-        self._exec_block(tree.body, self._module_env, scope="<module>", self_class=None)
+        self._exec_block(tree.body, self._module_env, self_class=None)
 
     # -- public queries -------------------------------------------------
     def binding(self, name: str) -> Value:
@@ -475,7 +404,7 @@ class DataflowAnalysis:
         ann = info.fields.get(attr)
         if ann is not None:
             if ann in self.classes:
-                return Instance(cls=ann, root=base.root, path=base.path + (attr,))
+                return Instance(ann)
             if ann in _NDARRAY_ANNS:
                 return Array(None, "field")
             return UNKNOWN
@@ -495,8 +424,7 @@ class DataflowAnalysis:
         # Constructor of a known class / call of an annotated local function.
         if isinstance(func, ast.Name):
             if func.id in self.classes:
-                self.instantiations.setdefault(func.id, node)
-                return Instance(cls=func.id, root=func.id, path=())
+                return Instance(func.id)
             ret = self._func_returns.get(func.id)
             if ret is not None:
                 return ret
@@ -648,7 +576,7 @@ class DataflowAnalysis:
         if ann is None:
             return UNKNOWN
         if ann in self.classes:
-            return Instance(cls=ann, root=ann, path=())
+            return Instance(ann)
         if ann in _NDARRAY_ANNS:
             return Array(None, "param")
         return UNKNOWN
@@ -670,24 +598,22 @@ class DataflowAnalysis:
         self,
         stmts: Sequence[ast.stmt],
         env: Dict[str, Value],
-        scope: str,
         self_class: Optional[str],
     ) -> None:
         for stmt in stmts:
-            self._exec_stmt(stmt, env, scope, self_class)
+            self._exec_stmt(stmt, env, self_class)
 
     def _exec_stmt(
         self,
         stmt: ast.stmt,
         env: Dict[str, Value],
-        scope: str,
         self_class: Optional[str],
     ) -> None:
         if isinstance(stmt, ast.Assign):
             self._record_loads(stmt, env)
             value = self.value_of(stmt.value)
             for target in stmt.targets:
-                self._bind_target(target, value, env, scope, self_class)
+                self._bind_target(target, value, env, self_class)
         elif isinstance(stmt, ast.AnnAssign):
             self._record_loads(stmt, env)
             if stmt.value is not None:
@@ -696,7 +622,7 @@ class DataflowAnalysis:
                     value = self._ann_value(stmt.annotation)
             else:
                 value = self._ann_value(stmt.annotation)
-            self._bind_target(stmt.target, value, env, scope, self_class)
+            self._bind_target(stmt.target, value, env, self_class)
         elif isinstance(stmt, ast.AugAssign):
             self._record_loads(stmt, env)
             rhs = self.value_of(stmt.value)
@@ -707,17 +633,12 @@ class DataflowAnalysis:
                 # checkers can ask what `x += ...` operated on.
                 self._name_values[id(target)] = old
                 env[target.id] = self._binop_value(old, stmt.op, rhs)
-            elif isinstance(target, ast.Attribute):
-                base = self.value_of(target.value)
-                self.attribute_writes.append(
-                    AttributeWrite(target, base, target.attr, rhs, True, scope)
-                )
         elif isinstance(stmt, ast.If):
             self._record_loads(stmt.test, env)
             then_env = dict(env)
-            self._exec_block(stmt.body, then_env, scope, self_class)
+            self._exec_block(stmt.body, then_env, self_class)
             else_env = dict(env)
-            self._exec_block(stmt.orelse, else_env, scope, self_class)
+            self._exec_block(stmt.orelse, else_env, self_class)
             merged: Dict[str, Value] = {}
             for key in then_env.keys() | else_env.keys():
                 merged[key] = join(
@@ -730,25 +651,25 @@ class DataflowAnalysis:
             carried = assigned_names(stmt.body) | assigned_names([stmt])
             for name in carried:
                 env[name] = UNKNOWN
-            self._bind_target(stmt.target, UNKNOWN, env, scope, self_class)
-            self._exec_block(stmt.body, env, scope, self_class)
-            self._exec_block(stmt.orelse, env, scope, self_class)
+            self._bind_target(stmt.target, UNKNOWN, env, self_class)
+            self._exec_block(stmt.body, env, self_class)
+            self._exec_block(stmt.orelse, env, self_class)
         elif isinstance(stmt, ast.While):
             carried = assigned_names(stmt.body)
             for name in carried:
                 env[name] = UNKNOWN
             self._record_loads(stmt.test, env)
-            self._exec_block(stmt.body, env, scope, self_class)
-            self._exec_block(stmt.orelse, env, scope, self_class)
+            self._exec_block(stmt.body, env, self_class)
+            self._exec_block(stmt.orelse, env, self_class)
         elif isinstance(stmt, ast.Try):
             body_env = dict(env)
-            self._exec_block(stmt.body, body_env, scope, self_class)
+            self._exec_block(stmt.body, body_env, self_class)
             branch_envs = [body_env]
             for handler in stmt.handlers:
                 handler_env = dict(env)
                 if handler.name is not None:
                     handler_env[handler.name] = UNKNOWN
-                self._exec_block(handler.body, handler_env, scope, self_class)
+                self._exec_block(handler.body, handler_env, self_class)
                 branch_envs.append(handler_env)
             merged = {}
             all_keys: Set[str] = set()
@@ -761,16 +682,14 @@ class DataflowAnalysis:
                 merged[key] = value
             env.clear()
             env.update(merged)
-            self._exec_block(stmt.orelse, env, scope, self_class)
-            self._exec_block(stmt.finalbody, env, scope, self_class)
+            self._exec_block(stmt.orelse, env, self_class)
+            self._exec_block(stmt.finalbody, env, self_class)
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 self._record_loads(item.context_expr, env)
                 if item.optional_vars is not None:
-                    self._bind_target(
-                        item.optional_vars, UNKNOWN, env, scope, self_class
-                    )
-            self._exec_block(stmt.body, env, scope, self_class)
+                    self._bind_target(item.optional_vars, UNKNOWN, env, self_class)
+            self._exec_block(stmt.body, env, self_class)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for deco in stmt.decorator_list:
                 self._record_loads(deco, env)
@@ -790,17 +709,13 @@ class DataflowAnalysis:
                         for d in stmt.decorator_list
                     )
                 ):
-                    fn_env["self"] = Instance(
-                        cls=self_class, root=self_class, path=()
-                    )
+                    fn_env["self"] = Instance(self_class)
                 else:
                     fn_env[arg.arg] = self._ann_value(arg.annotation)
             for vararg in (args.vararg, args.kwarg):
                 if vararg is not None:
                     fn_env[vararg.arg] = UNKNOWN
-            self._exec_block(
-                stmt.body, fn_env, f"{scope}.{stmt.name}", self_class
-            )
+            self._exec_block(stmt.body, fn_env, self_class)
             env[stmt.name] = UNKNOWN
         elif isinstance(stmt, ast.ClassDef):
             for deco in stmt.decorator_list:
@@ -808,11 +723,9 @@ class DataflowAnalysis:
             class_env = dict(env)
             for sub in stmt.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self._exec_stmt(
-                        sub, class_env, f"{scope}.{stmt.name}", stmt.name
-                    )
+                    self._exec_stmt(sub, class_env, stmt.name)
                 else:
-                    self._exec_stmt(sub, class_env, f"{scope}.{stmt.name}", None)
+                    self._exec_stmt(sub, class_env, None)
             env[stmt.name] = UNKNOWN
         else:
             # Expr / Return / Assert / Raise / Delete / Import / Pass ...
@@ -823,16 +736,11 @@ class DataflowAnalysis:
         target: ast.expr,
         value: Value,
         env: Dict[str, Value],
-        scope: str,
         self_class: Optional[str],
     ) -> None:
         if isinstance(target, ast.Name):
             env[target.id] = value
         elif isinstance(target, ast.Attribute):
-            base = self.value_of(target.value)
-            self.attribute_writes.append(
-                AttributeWrite(target, base, target.attr, value, False, scope)
-            )
             if (
                 self_class is not None
                 and isinstance(target.value, ast.Name)
@@ -846,7 +754,7 @@ class DataflowAnalysis:
                     )
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                self._bind_target(elt, UNKNOWN, env, scope, self_class)
+                self._bind_target(elt, UNKNOWN, env, self_class)
         elif isinstance(target, ast.Starred):
-            self._bind_target(target.value, UNKNOWN, env, scope, self_class)
+            self._bind_target(target.value, UNKNOWN, env, self_class)
         # Subscript targets carry no name binding we track.

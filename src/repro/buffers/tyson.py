@@ -22,7 +22,6 @@ from typing import List
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.cache.stats import SystemStats
 from repro.workloads.trace import Trace
 
 

@@ -14,7 +14,7 @@ A :class:`CacheLine` carries the metadata the paper's mechanisms need:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 

@@ -15,7 +15,7 @@ direction and the machinery is all here.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.buffers.amb import vict_pref
 from repro.experiments.base import (

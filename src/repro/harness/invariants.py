@@ -3,9 +3,11 @@
 Every counter object in :mod:`repro.cache.stats` obeys a small algebra —
 accesses split exactly into hits and misses, buffer hits split exactly by
 role, the timing model's clock decomposes into issue time plus recorded
-stalls.  A simulation that violates one of these laws has corrupted state
-(or a bookkeeping bug), and its numbers must never reach EXPERIMENTS.md
-silently.
+stalls — and carries no attribute beyond its declared fields, so a
+misspelt counter store cannot vanish from ``reset()``, ``merge()`` and
+``as_dict()``.  A simulation that violates one of these laws has
+corrupted state (or a bookkeeping bug), and its numbers must never reach
+EXPERIMENTS.md silently.
 
 The checks are cheap (a handful of integer comparisons per *run*, not per
 reference) and are applied in two places:
@@ -26,12 +28,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import fields
-from typing import Optional
+from typing import List, Optional
 
 from repro.cache.stats import (
     BufferStats,
     CacheStats,
     ClassificationStats,
+    Counters,
     SystemStats,
     TimingStats,
 )
@@ -75,6 +78,19 @@ def _require_non_negative(obj: object, context: str) -> None:
         value = getattr(obj, f.name)
         if isinstance(value, (int, float)) and value < 0:
             _fail(context, f"counter {f.name} is negative ({value})", obj)
+
+
+def _undeclared(obj: Counters, prefix: str = "") -> List[str]:
+    """Dotted paths of instance attributes that are not dataclass fields,
+    recursing into nested counter objects."""
+    declared = {f.name for f in fields(obj)}
+    found: List[str] = []
+    for name, value in vars(obj).items():
+        if name not in declared:
+            found.append(prefix + name)
+        elif isinstance(value, Counters):
+            found.extend(_undeclared(value, f"{prefix}{name}."))
+    return found
 
 
 def check_cache_stats(stats: CacheStats, context: str = "cache") -> None:
@@ -155,6 +171,11 @@ def check_system_stats(
     Pass ``coupled=False`` for merged or synthetic stats where only the
     per-object laws apply.
     """
+    undeclared = _undeclared(stats)
+    if undeclared:
+        _fail(context, f"undeclared counter attribute(s) "
+              f"{', '.join(undeclared)} — no reset(), merge() or as_dict() "
+              f"sees them", stats)
     check_cache_stats(stats.l1, f"{context}.l1")
     check_cache_stats(stats.l2, f"{context}.l2")
     check_buffer_stats(stats.buffer, f"{context}.buffer")

@@ -7,7 +7,8 @@ workload.  ``--assoc`` additionally prints the per-size
 compulsory/capacity/conflict split at that associativity, and
 ``--check`` cross-validates every exact point against the brute-force
 per-size FA-LRU simulation (the CI smoke job runs this; any mismatch
-exits non-zero).
+exits non-zero).  Bad flag values exit 2 with a usage error naming the
+flag, checked by the same code the library runs them through.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.argtypes import at_least, checked
 from repro.mrc.curve import (
     MissRatioCurve,
     brute_force_fa_misses,
@@ -24,7 +26,7 @@ from repro.mrc.curve import (
     default_size_ladder,
 )
 from repro.mrc.decompose import ConflictSplit, conflict_decomposition
-from repro.mrc.sampling import SampleResult, sampled_curve
+from repro.mrc.sampling import SampleResult, ShardsEstimator, sampled_curve
 from repro.mrc.stack import StackProfile, compute_profile
 from repro.workloads.spec_analogs import EVAL_SUITE, build
 
@@ -117,12 +119,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "workloads",
         nargs="*",
+        # An empty trace runs the generator's name check for nothing.
+        type=checked(str, lambda name: build(name, 0)),
         default=list(EVAL_SUITE),
         help=f"workload names (default: {' '.join(EVAL_SUITE)})",
     )
-    parser.add_argument("--n-refs", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--line-size", type=int, default=64)
+    parser.add_argument("--n-refs", type=at_least(0), default=100_000)
+    parser.add_argument("--seed", type=at_least(0), default=0)
+    parser.add_argument(
+        "--line-size",
+        type=checked(int, lambda size: compute_profile([], size)),
+        default=64,
+    )
     parser.add_argument(
         "--sizes",
         default=None,
@@ -137,15 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
         "associativity",
     )
     sampling = parser.add_argument_group("SHARDS sampling")
-    sampling.add_argument(
+    mode = sampling.add_mutually_exclusive_group()
+    mode.add_argument(
         "--rate",
-        type=float,
+        type=checked(float, lambda rate: ShardsEstimator(rate=rate)),
         default=None,
         help="fixed-rate spatial sampling rate in (0, 1]",
     )
-    sampling.add_argument(
+    mode.add_argument(
         "--max-blocks",
-        type=int,
+        type=checked(int, lambda blocks: ShardsEstimator(max_blocks=blocks)),
         default=None,
         help="fixed-size sampling: bound on distinct sampled blocks",
     )
@@ -168,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     sampled = args.rate is not None or args.max_blocks is not None
     if args.check and sampled:
         print(
@@ -176,11 +186,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    sizes = (
-        _parse_sizes(args.sizes, args.line_size)
-        if args.sizes is not None
-        else default_size_ladder(args.line_size)
-    )
+    # --sizes and --assoc are checked against --line-size, so only after
+    # parsing; an empty address stream runs the decomposition's checks.
+    try:
+        sizes = (
+            _parse_sizes(args.sizes, args.line_size)
+            if args.sizes is not None
+            else default_size_ladder(args.line_size)
+        )
+    except ValueError as exc:
+        parser.error(f"argument --sizes: {exc}")
+    if args.assoc is not None:
+        try:
+            conflict_decomposition(
+                [], assoc=args.assoc, line_size=args.line_size, sizes_lines=sizes
+            )
+        except ValueError as exc:
+            parser.error(f"argument --assoc: {exc}")
 
     payloads: List[Dict[str, object]] = []
     failures = 0

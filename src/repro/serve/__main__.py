@@ -7,17 +7,20 @@ Examples::
         --inject serve_batch:exception:3
 
 The process serves until a client sends a ``shutdown`` frame, the
-optional ``--max-runtime`` elapses, or it is interrupted.
+optional ``--max-runtime`` elapses, or it is interrupted.  A bad flag
+value exits 2 naming the flag: each is checked as it is parsed, by
+:class:`ServeConfig` or :func:`repro.faults.parse_plan` where they
+define the bound.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import sys
 from typing import List, Optional
 
 from repro import faults
+from repro.argtypes import at_least, checked
 from repro.obs import events
 from repro.obs.config import ObsConfig
 from repro.serve.config import ServeConfig, raise_fd_limit
@@ -32,27 +35,32 @@ def build_parser() -> argparse.ArgumentParser:
     target = parser.add_mutually_exclusive_group(required=True)
     target.add_argument("--socket", help="listen on a unix socket at this path")
     target.add_argument(
-        "--port", type=int, help="listen on TCP at this port (0 = ephemeral)"
+        "--port",
+        type=checked(int, lambda port: ServeConfig(port=port)),
+        help="listen on TCP at this port (0 = ephemeral)",
     )
     parser.add_argument("--host", default="127.0.0.1", help="TCP bind host")
     parser.add_argument(
-        "--max-sessions", type=int, default=1024, help="admission cap"
+        "--max-sessions",
+        type=checked(int, lambda n: ServeConfig(max_sessions=n)),
+        default=1024,
+        help="admission cap",
     )
     parser.add_argument(
         "--budget-bytes",
-        type=int,
+        type=checked(int, lambda n: ServeConfig(default_budget_bytes=n)),
         default=1 << 21,
         help="default per-tenant state budget (open frames may override)",
     )
     parser.add_argument(
         "--max-batch-refs",
-        type=int,
+        type=checked(int, lambda n: ServeConfig(max_batch_refs=n)),
         default=65536,
         help="largest address batch one frame may carry",
     )
     parser.add_argument(
         "--idle-timeout",
-        type=float,
+        type=checked(float, lambda s: ServeConfig(idle_timeout_s=s)),
         default=60.0,
         help="reap sessions idle this many seconds (0 disables)",
     )
@@ -63,13 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--inject",
+        type=checked(str, faults.parse_plan),
         metavar="SITE:KIND[:SEED[:REPEAT]]",
         help="arm a fault plan (sites serve_accept, serve_batch, "
         "event_append, ...) — testing only",
     )
     parser.add_argument(
         "--max-runtime",
-        type=float,
+        type=at_least(0, float),
         default=0.0,
         help="exit after this many seconds (0 = run until shutdown frame)",
     )

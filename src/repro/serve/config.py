@@ -99,13 +99,15 @@ class ServeConfig:
     idle_timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be in [0, 65535], got {self.port}")
         if self.max_sessions < 1:
             raise ValueError(f"max_sessions must be >= 1, got {self.max_sessions}")
         if self.max_batch_refs < 1:
             raise ValueError(
                 f"max_batch_refs must be >= 1, got {self.max_batch_refs}"
             )
-        if self.idle_timeout_s < 0:
+        if not self.idle_timeout_s >= 0:  # also rejects NaN
             raise ValueError(
                 f"idle_timeout_s must be >= 0, got {self.idle_timeout_s}"
             )

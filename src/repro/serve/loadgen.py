@@ -28,6 +28,8 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.argtypes import at_least, checked
+from repro.serve.config import ServeConfig
 from repro.serve.protocol import FrameError, read_frame, write_frame
 from repro.workloads.spec_analogs import build
 
@@ -101,7 +103,7 @@ async def run_session(
             writer,
             {
                 "op": "open",
-                "tenant": f"tenant-{index % max(args.tenants, 1)}",
+                "tenant": f"tenant-{index % args.tenants}",
                 "cache_kb": args.cache_kb,
                 "budget_bytes": args.budget_bytes,
                 "seed": index,
@@ -204,22 +206,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     target = parser.add_mutually_exclusive_group(required=True)
     target.add_argument("--socket", help="unix socket path of the server")
-    target.add_argument("--port", type=int, help="TCP port of the server")
+    target.add_argument(
+        "--port",
+        type=checked(int, lambda port: ServeConfig(port=port)),
+        help="TCP port of the server",
+    )
     parser.add_argument("--host", default="127.0.0.1", help="TCP host")
     parser.add_argument(
-        "--sessions", type=int, default=32, help="total sessions to run"
+        "--sessions", type=at_least(1), default=32, help="total sessions to run"
     )
     parser.add_argument(
         "--concurrency",
-        type=int,
+        type=at_least(1),
         default=32,
         help="sessions in flight at once (semaphore)",
     )
     parser.add_argument(
-        "--refs-per-session", type=int, default=4096, help="addresses per session"
+        "--refs-per-session",
+        type=at_least(1),
+        default=4096,
+        help="addresses per session",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=2048, help="addresses per batch frame"
+        "--batch-size", type=at_least(1), default=2048, help="addresses per batch frame"
     )
     parser.add_argument(
         "--cache-kb", type=int, default=16, help="cache size each session asks about"
@@ -231,11 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tenant state budget sent in the open frame",
     )
     parser.add_argument(
-        "--tenants", type=int, default=8, help="distinct tenant names to cycle"
+        "--tenants", type=at_least(1), default=8, help="distinct tenant names to cycle"
     )
     parser.add_argument(
         "--benches",
         nargs="+",
+        # An empty trace runs the generator's name check for nothing.
+        type=checked(str, lambda name: build(name, 0)),
         default=list(DEFAULT_BENCHES),
         help="workload analogs for the trace pool",
     )

@@ -18,7 +18,7 @@ against its solo run on the same machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.cache.stats import Counters, SystemStats
 from repro.system.config import MachineConfig, PAPER_MACHINE

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.pseudo_assoc import PacVariant, PseudoAssociativeCache
+from repro.cache.stats import SystemStats
+from repro.harness.invariants import InvariantViolation, check_system_stats
 from repro.system.config import (
     MachineConfig,
     PAPER_MACHINE,
@@ -12,7 +14,6 @@ from repro.system.config import (
     TimingConfig,
 )
 from repro.system.memory_system import MemorySystem
-from repro.system.policies import AssistConfig, BASELINE
 from repro.system.timing import TimingModel
 from repro.buffers import amb
 
@@ -139,3 +140,19 @@ class TestPacInvariants:
         for b in refs:
             pac.access(b * 64)
             assert pac.probe(b * 64) is not PacHit.MISS
+
+
+class TestUndeclaredCounters:
+    """A counter stored under a misspelt name is an invariant violation:
+    ``reset()``, ``merge()`` and ``as_dict()`` walk the declared fields
+    only, so the store would silently never reach a report."""
+
+    def test_undeclared_attributes_are_named(self):
+        stats = SystemStats()
+        stats.l1.hitz = 1
+        stats.buffer.swapz = 1
+        stats.memory_acesses = 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            check_system_stats(stats)
+        for path in ("l1.hitz", "buffer.swapz", "memory_acesses"):
+            assert path in str(excinfo.value)

@@ -5,7 +5,6 @@ import pytest
 from repro.cache.geometry import CacheGeometry
 from repro.core.accuracy import measure_accuracy
 from repro.workloads.icache import (
-    FETCH_BYTES,
     Function,
     conflicting_call_workload,
     program,

@@ -5,8 +5,6 @@ equivalences and orderings that must hold if each piece is implemented
 correctly — rather than any single module's behaviour.
 """
 
-import pytest
-
 from repro.buffers import victim
 from repro.cache.geometry import CacheGeometry
 from repro.cache.pseudo_assoc import PacVariant

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.buffers import amb, exclusion, prefetch, victim
-from repro.cache.line import BufferRole
-from repro.system.config import MachineConfig, PAPER_MACHINE
+from repro.system.config import PAPER_MACHINE
 from repro.system.memory_system import MemorySystem
 from repro.system.policies import AssistConfig, BASELINE, ExclusionMode
-from repro.workloads.trace import Trace
 
 L1_SIZE = PAPER_MACHINE.l1.size
 

@@ -1,6 +1,5 @@
 """Tests for the mixer and the SPEC95-analog workloads."""
 
-import numpy as np
 import pytest
 
 from repro.cache.geometry import CacheGeometry

@@ -10,7 +10,6 @@ from repro.system.multithreaded import (
 )
 from repro.system.policies import BASELINE
 from repro.workloads.spec_analogs import build
-from repro.workloads.trace import Trace
 
 
 class TestSimulateShared:

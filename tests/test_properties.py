@@ -17,7 +17,7 @@ from repro.cache.fully_assoc import FullyAssociativeLRU
 from repro.cache.geometry import CacheGeometry
 from repro.cache.line import BufferRole
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.core.filters import ALL_FILTERS, ConflictFilter
+from repro.core.filters import ConflictFilter
 from repro.core.ground_truth import GroundTruthClassifier
 from repro.core.mct import MissClassificationTable
 from repro.harness import invariants

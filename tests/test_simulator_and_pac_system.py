@@ -4,7 +4,7 @@ import pytest
 
 from repro.buffers import victim
 from repro.cache.pseudo_assoc import PacVariant
-from repro.system.config import PAPER_MACHINE, MachineConfig, TimingConfig
+from repro.system.config import PAPER_MACHINE
 from repro.system.pac_system import PacMemorySystem, simulate_pac
 from repro.system.policies import BASELINE
 from repro.system.simulator import geomean, mean, simulate, simulate_policies, speedup

@@ -6,19 +6,26 @@ algebra instead of a per-reference Python loop.  Nothing here tolerates
 approximation: every test compares ``json.dumps(..., sort_keys=True)``
 of the full ``as_dict()`` tree, so a single off-by-one in any counter —
 or a float that differs in the last ulp of the timing replay — fails.
+That only bites for a counter some case makes non-zero, so
+``test_identity_cases_drive_every_counter`` checks that every counter
+is driven by at least one deterministic case.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.geometry import CacheGeometry
+from repro.cache.stats import SystemStats
 from repro.obs import events as obs_events
 from repro.obs.config import ObsConfig
+from repro.obs.metrics import flatten_counters
 from repro.obs.validate import main as validate_main
 from repro.obs.validate import reconcile_events, validate_lines
 from repro.system.config import MachineConfig, PAPER_MACHINE, SLOW_BUS_MACHINE
@@ -41,6 +48,50 @@ def canon(stats) -> str:
 def machine_with_assoc(assoc: int, base: MachineConfig = PAPER_MACHINE):
     """The base machine with its L1 widened to ``assoc`` ways."""
     return replace(base, l1=replace(base.l1, assoc=assoc))
+
+
+#: The paper's L1 under a 32 KB 2-way L2.  The paper's 1 MB L2 never
+#: fills on a 6k-reference trace, so this is the case that evicts from L2.
+#: (The slow bus is the suite case that drives bus contention.)
+SMALL_L2_MACHINE = replace(PAPER_MACHINE, l2=CacheGeometry(size=32 * 1024, assoc=2))
+
+SUITE_WARMUPS = [0, 1, 1500]
+SUITE_ASSOCS = [2, 4, 8]
+
+
+def identity_cases():
+    """(bench, machine, warmup) of every deterministic identity case."""
+    for bench in EVAL_SUITE:
+        for warmup in SUITE_WARMUPS:
+            yield bench, PAPER_MACHINE, warmup
+        for assoc in SUITE_ASSOCS:
+            yield bench, machine_with_assoc(assoc), 500
+        yield bench, SLOW_BUS_MACHINE, 500
+        yield bench, SMALL_L2_MACHINE, 500
+
+
+@lru_cache(maxsize=None)
+def suite_trace(bench: str) -> Trace:
+    return build(bench, 6_000, 0)
+
+
+@lru_cache(maxsize=None)
+def scalar_suite_run(bench: str, machine: MachineConfig, warmup: int) -> SystemStats:
+    """The scalar reference on one identity case, shared by the identity
+    tests and the coverage test (callers must not mutate the result)."""
+    return simulate(suite_trace(bench), BASELINE, machine, warmup=warmup, engine="scalar")
+
+
+def assert_identity(bench: str, machine: MachineConfig, warmup: int) -> None:
+    vector = simulate(suite_trace(bench), BASELINE, machine, warmup=warmup, engine="vector")
+    assert canon(vector) == canon(scalar_suite_run(bench, machine, warmup))
+
+
+def undriven_by_design(path: str) -> bool:
+    """Counters no identity case can drive, for RPR070's old reasons: the
+    vector engine runs bufferless cells only, and the L2 is modelled
+    tag-only, so it never holds a dirty line to write back."""
+    return path.startswith("buffer.") or path == "l2.writebacks"
 
 
 #: References as (block, is_load, gap) so the random traces exercise the
@@ -123,21 +174,37 @@ class TestByteIdentity:
         assert canon(vector) == canon(scalar)
 
     @pytest.mark.parametrize("bench", EVAL_SUITE)
-    @pytest.mark.parametrize("warmup", [0, 1, 1500])
+    @pytest.mark.parametrize("warmup", SUITE_WARMUPS)
     def test_suite_benchmarks(self, bench, warmup):
-        trace = build(bench, 6_000, 0)
-        scalar = simulate(trace, BASELINE, warmup=warmup, engine="scalar")
-        vector = simulate(trace, BASELINE, warmup=warmup, engine="vector")
-        assert canon(vector) == canon(scalar)
+        assert_identity(bench, PAPER_MACHINE, warmup)
 
     @pytest.mark.parametrize("bench", EVAL_SUITE)
-    @pytest.mark.parametrize("assoc", [2, 4, 8])
+    @pytest.mark.parametrize("assoc", SUITE_ASSOCS)
     def test_suite_benchmarks_assoc(self, bench, assoc):
-        machine = machine_with_assoc(assoc)
-        trace = build(bench, 6_000, 0)
-        scalar = simulate(trace, BASELINE, machine, warmup=500, engine="scalar")
-        vector = simulate(trace, BASELINE, machine, warmup=500, engine="vector")
-        assert canon(vector) == canon(scalar)
+        assert_identity(bench, machine_with_assoc(assoc), 500)
+
+    @pytest.mark.parametrize("bench", EVAL_SUITE)
+    def test_suite_benchmarks_slow_bus(self, bench):
+        assert_identity(bench, SLOW_BUS_MACHINE, 500)
+
+    @pytest.mark.parametrize("bench", EVAL_SUITE)
+    def test_suite_benchmarks_small_l2(self, bench):
+        assert_identity(bench, SMALL_L2_MACHINE, 500)
+
+    def test_identity_cases_drive_every_counter(self):
+        # Byte identity only proves a counter's vector-side write when
+        # some case makes the counter non-zero.  The path list comes
+        # from SystemStats itself, so a counter added later fails here
+        # until an identity case drives it.
+        driven = set()
+        for case in identity_cases():
+            counters = flatten_counters(scalar_suite_run(*case).as_dict())
+            driven |= {path for path, value in counters.items() if value}
+        paths = flatten_counters(SystemStats().as_dict())
+        undriven = [p for p in paths if p not in driven and not undriven_by_design(p)]
+        assert undriven == [], f"no identity case drives {undriven}"
+        stale = [p for p in driven if undriven_by_design(p)]
+        assert stale == [], f"exempt counters are driven after all: {stale}"
 
     def test_general_pass_subsumes_direct_mapped(self):
         # At assoc == 1 the deaths-FIFO pass and the direct-mapped pass
