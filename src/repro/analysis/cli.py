@@ -137,15 +137,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--format",
         choices=FORMATS,
-        default=None,
+        default="text",
         dest="output_format",
         help="output format: text (default), json, github (workflow-"
         "command annotations), sarif (SARIF 2.1.0 on stdout)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="alias for --format json (kept for older CI configs)",
     )
     parser.add_argument(
         "--select",
@@ -164,7 +159,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="print the error-code catalog and exit",
     )
     args = parser.parse_args(argv)
-    output_format = args.output_format or ("json" if args.json else "text")
 
     if args.list_checkers:
         for code, description in catalog().items():
@@ -179,12 +173,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _validate_prefixes(parser, "--ignore", ignore)
 
     try:
-        result = run(
-            args.paths,
-            all_checkers(),
-            select=select,
-            ignore=ignore,
-        )
+        result = run(args.paths, all_checkers(), select=select, ignore=ignore)
     except FileNotFoundError as exc:
         print(f"analysis: {exc}", file=sys.stderr)
         return 2
@@ -192,7 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for error in result.errors:
         print(f"analysis: {error}", file=sys.stderr)
 
-    if output_format == "json":
+    if args.output_format == "json":
         print(
             json.dumps(
                 {
@@ -204,20 +193,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                 sort_keys=True,
             )
         )
-    elif output_format == "sarif":
+    elif args.output_format == "sarif":
         print(json.dumps(_sarif_payload(result), indent=2, sort_keys=True))
     else:
-        if output_format == "github":
+        if args.output_format == "github":
             _print_github(result)
         else:
             for violation in result.violations:
                 print(violation.format())
-        summary = (
-            f"{len(result.violations)} violation(s) in "
-            f"{result.files_checked} file(s)"
-        )
+        verdict = "FAIL" if result.violations or result.errors else "OK"
         print(
-            f"analysis: {'FAIL — ' + summary if result.violations else 'OK — ' + summary}",
+            f"analysis: {verdict} — {len(result.violations)} violation(s) in "
+            f"{result.files_checked} file(s)",
             file=sys.stderr,
         )
 

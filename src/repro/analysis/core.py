@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -57,14 +57,7 @@ class Violation:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "code": self.code,
-            "message": self.message,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "checker": self.checker,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -221,13 +214,16 @@ def load_module(path: Path, root: Optional[Path] = None) -> Tuple[Optional[Modul
     """Parse one file into a ModuleInfo, or return an error string."""
     rel = relpath_for(path, root)
     try:
-        source = path.read_text()
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source, filename=rel)
     except OSError as exc:
         return None, f"{rel}: unreadable ({exc})"
-    try:
-        tree = ast.parse(source, filename=rel)
-    except SyntaxError as exc:
-        return None, f"{rel}: syntax error ({exc.msg} at line {exc.lineno})"
+    except (SyntaxError, ValueError) as exc:
+        # Not UTF-8 (UnicodeDecodeError), or a null byte: a ValueError on
+        # 3.9, a SyntaxError without a line number on 3.11.
+        line = getattr(exc, "lineno", None)
+        where = f" at line {line}" if line else ""
+        return None, f"{rel}: syntax error ({getattr(exc, 'msg', exc)}{where})"
     lines = source.splitlines()
     head = "\n".join(lines[:10])
     return ModuleInfo(path, rel, tree, lines, compute_tags(rel, head)), None

@@ -2,21 +2,38 @@
 
 Every registered RPR code must fire on at least one failing fixture and
 stay silent on the matching passing fixture — that is the contract that
-keeps the checker catalog honest.  The CLI tests cover ``--json``,
-``--select``/``--ignore``, exit codes and noqa suppression.
+keeps the checker catalog honest.  The CLI tests cover ``--format``,
+``--select``/``--ignore``, exit codes and noqa suppression.  The numpy
+rules act on the dtype table's claims, so a property test executes
+generated numpy snippets and checks every claim against numpy itself.
 """
 
 from __future__ import annotations
 
+import ast
+import itertools
 import json
+import warnings
 from collections import Counter
 from pathlib import Path
+from typing import Optional
 
+import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from repro.analysis import all_checkers, catalog, run
+from repro.analysis.checkers.numpy_hygiene import (
+    _DTYPE_CANON,
+    Array,
+    DtypeTable,
+    NumpyHygieneChecker,
+    _agree,
+    _promote,
+)
 from repro.analysis.cli import main
-from repro.analysis.core import compute_tags, suppressed, Violation
+from repro.analysis.core import ModuleInfo, compute_tags, suppressed, Violation
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 
@@ -75,7 +92,7 @@ def test_family_silent_on_ok_fixture(fail_fixture, ok_fixture, expected):
 
 
 def test_new_family_fixture_counts_match_ci_selfcheck():
-    # Exact per-code counts for the dataflow-backed family; the
+    # Exact per-code counts for the numpy-hygiene family; the
     # simlint-selfcheck step in .github/workflows/ci.yml pins the same
     # numbers — update both together.
     def counts(*files: str) -> Counter:
@@ -216,7 +233,7 @@ def test_cli_exit_two_on_missing_path(capsys):
 
 
 def test_cli_json_output(capsys):
-    assert main([str(FIXTURES / "determinism_fail.py"), "--json"]) == 1
+    assert main([str(FIXTURES / "determinism_fail.py"), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["files_checked"] == 1
     codes = {v["code"] for v in payload["violations"]}
@@ -303,3 +320,286 @@ def test_cli_syntax_error_reports_and_exits_two(tmp_path, capsys):
     bad.write_text("def nope(:\n")
     assert main([str(bad)]) == 2
     assert "syntax error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content,name",
+    [(b"label = '\xe9t\xe9'\n", "latin1.py"), (b"x = 1\x00\n", "nul.py")],
+)
+def test_cli_unparseable_bytes_are_a_one_line_file_error(tmp_path, capsys, content, name):
+    # Not UTF-8, or a null byte (a ValueError from ast.parse on 3.9): one
+    # line naming the file and exit 2, never a traceback.
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    assert main([str(bad)]) == 2
+    err = capsys.readouterr().err
+    named = [line for line in err.splitlines() if name in line]
+    assert len(named) == 1 and "syntax error" in named[0], err
+    assert "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# The dtype table behind RPR060-064
+# ----------------------------------------------------------------------
+def claim(source: str, name: str) -> Optional[Array]:
+    """The table's module-level claim for ``name``, read at a probe load."""
+    tree = ast.parse(f"{source}\n{name}\n")
+    probe = tree.body[-1]
+    assert isinstance(probe, ast.Expr)
+    return DtypeTable(tree).value_of(probe.value)
+
+
+def test_dtype_table_array_construction_and_astype():
+    src = (
+        "import numpy as np\n"
+        "a = np.zeros(8, dtype=np.int16)\n"
+        "b = a\n"
+        "c = b.astype(np.int64)\n"
+    )
+    assert [claim(src, n).dtype for n in "abc"] == ["int16", "int16", "int64"]
+
+
+def test_dtype_table_trusts_astype_without_receiver():
+    # The receiver is untracked, but .astype(np.int64) is numpy-specific
+    # enough to pin the result dtype (the vector.py cumsum pattern).
+    src = "import numpy as np\nwide = mystery.astype(np.int64)\n"
+    assert claim(src, "wide") == Array("int64", "astype")
+
+
+def test_dtype_table_comparison_is_bool_array():
+    src = "import numpy as np\na = np.arange(16)\nmask = a > 4\nnone = a is None\n"
+    assert claim(src, "mask") == Array("bool", "compare")
+    assert claim(src, "none") is None  # identity tests give a Python bool
+
+
+def test_dtype_table_alias_and_inplace_keep_dtype():
+    # ``b += 1`` is not a rebinding: numpy never changes an array's dtype
+    # in place.  ``c += 0.5`` rebinds the numpy scalar c to float64, so
+    # reads of c lose the claim while RPR064 still sees its int64 dtype.
+    src = (
+        "import numpy as np\n"
+        "a = np.zeros(8, dtype=np.int16)\n"
+        "b = a\n"
+        "b += 1\n"
+        "c = a.sum(dtype=np.int64)\n"
+        "c += 0.5\n"
+    )
+    assert claim(src, "b") == Array("int16", "np.zeros")
+    assert claim(src, "c") is None
+    assert [(v.code, v.line) for v in run_source(src)] == [("RPR064", 6)]
+
+
+def test_dtype_table_unbound_name_has_no_claim():
+    assert claim("x = 1", "never_bound") is None
+
+
+def test_dtype_table_keeps_agreeing_bindings_and_drops_disagreeing():
+    src = (
+        "import numpy as np\n"
+        "if flag:\n"
+        "    x = np.ones(3, dtype=np.int64)\n"
+        "    z = np.ones(3, dtype=np.int8)\n"
+        "    w = np.ones(3, dtype=np.int8)\n"
+        "else:\n"
+        "    x = np.zeros(3, dtype=np.int64)\n"
+        "    z = np.zeros(3, dtype=np.int16)\n"
+        "    w = 0\n"
+    )
+    assert claim(src, "x").dtype == "int64"
+    assert claim(src, "z") == Array(None, "join")  # an array, dtype unknown
+    assert claim(src, "w") is None  # not always an array
+
+
+def test_dtype_table_loop_rebinding_must_give_dtype_back():
+    keeps = "import numpy as np\nx = np.zeros(3, dtype=np.int16)\nfor i in r:\n    x = x + 1\n"
+    widens = "import numpy as np\nx = np.zeros(3, dtype=bool)\nfor i in r:\n    x = x + 1\n"
+    assert claim(keeps, "x").dtype == "int16"
+    assert claim(widens, "x") is None  # bool + 1 is the default int
+
+
+def test_promote_matches_numpy_result_type():
+    # Array-with-array promotion: every dtype the table claims is the one
+    # numpy computes (int_ is the C long family), for every pair.
+    spelled = {"int_": np.int_, "intp": np.intp, "uintp": np.uintp}
+    names = sorted(set(_DTYPE_CANON.values()))
+    for a, b in itertools.product(names, names):
+        claimed = _promote(a, b)
+        if claimed is not None:
+            actual = np.result_type(np.dtype(spelled.get(a, a)), np.dtype(spelled.get(b, b)))
+            assert _same_dtype(claimed, actual) if claimed == "int_" else (
+                actual == np.dtype(spelled.get(claimed, claimed))), (a, b, claimed)
+
+
+def test_agree_is_order_insensitive():
+    claims = [Array("int64", "zeros"), Array("int64", "astype"), Array("int8"), None]
+    for size in range(1, len(claims) + 1):
+        for subset in itertools.combinations(claims, size):
+            results = {_agree(list(p)) for p in itertools.permutations(subset)}
+            assert len(results) == 1, subset
+
+
+_CLASS_SRC = """
+import numpy as np
+from dataclasses import dataclass
+
+
+@dataclass
+class Profile:
+    order: np.ndarray
+
+    def first(self):
+        return self.order[0]
+
+
+class Trace:
+    def __init__(self, gaps, wide):
+        self.gaps = np.asarray(gaps, dtype=np.int16)
+        self.wide = np.asarray(wide, dtype=np.int64)
+
+    def reset(self):
+        self.wide = np.zeros(0, dtype=np.int32)
+
+    def check(self):
+        def nested():
+            return self.gaps, self.wide
+        return nested
+"""
+
+
+def _self_attribute_claims() -> dict:
+    tree = ast.parse(_CLASS_SRC)
+    table = DtypeTable(tree)
+    return {
+        node.attr: table.value_of(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+
+
+def test_dtype_table_resolves_self_attributes():
+    # self.X agrees over every method's assignments, nested functions
+    # included: gaps is always int16, wide is int64 or int32.
+    claims = _self_attribute_claims()
+    assert claims["gaps"].dtype == "int16"
+    assert claims["wide"] == Array(None, "join")
+
+
+def test_dtype_table_reads_class_body_fields():
+    # A class-body field annotated np.ndarray is an array of unknown dtype.
+    assert _self_attribute_claims()["order"] == Array(None, "param")
+
+
+def run_source(source: str) -> list:
+    """Raw numpy-hygiene findings for a simcore-scoped snippet."""
+    module = ModuleInfo(
+        Path("snippet.py"), "snippet.py", ast.parse(source), source.splitlines(),
+        frozenset({"simcore"}),
+    )
+    return list(NumpyHygieneChecker().check_module(module))
+
+
+# ----------------------------------------------------------------------
+# Property: every claim the table makes is the dtype numpy produces
+# ----------------------------------------------------------------------
+NAMES = ("a", "b", "c", "d")
+_DTYPES = (
+    "bool", "np.int8", "np.int16", "np.int32", "np.int64", "np.intp",
+    "np.uint8", "np.uint16", "np.uint32", "np.uint64", "np.float16",
+    "np.float32", "np.float64", "int", "float",
+)
+
+
+@st.composite
+def numpy_expressions(draw, bound):
+    """One right-hand side from the table's own vocabulary."""
+    dt = draw(st.sampled_from(_DTYPES))
+    options = [
+        f"np.zeros(4, dtype={dt})", f"np.ones(4, dtype={dt})",
+        f"np.array([1, 2, 3, 4], dtype={dt})", f"np.full(4, 3, dtype={dt})",
+        "np.zeros(4)", "np.arange(4)", "np.arange(1, 5)",
+    ]
+    if bound:
+        x = draw(st.sampled_from(bound))
+        options += [
+            x, f"{x}.astype({dt})", f"{x} > 1", f"{x} == 2", f"{x} + 1",
+            f"{x} + 0.5", f"{x} / 2", f"{x}[1:3]", f"{x}[::2]", f"{x}[0]",
+            f"{x}.sum()", f"{x}.sum(dtype={dt})", f"np.sum({x})",
+            f"np.cumsum({x})", f"np.cumsum({x}, dtype={dt})", f"{x}.cumsum()",
+        ]
+    return draw(st.sampled_from(options))
+
+
+@st.composite
+def numpy_snippets(draw, single_bindings: bool = False):
+    """Module bodies of assignments, rebinding inside if/for, and +=."""
+    lines = ["import numpy as np"]
+    bound: list = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        free = [n for n in NAMES if n not in bound]
+        kinds = ["assign"] if single_bindings else ["assign", "if", "for", "aug"]
+        kind = draw(st.sampled_from(kinds if bound else ["assign"]))
+        if single_bindings and not free:
+            break
+        if kind == "aug":
+            op = draw(st.sampled_from(["+= 1", "+= 0.5"]))
+            lines.append(f"{draw(st.sampled_from(bound))} {op}")
+            continue
+        target = draw(st.sampled_from(free if single_bindings else NAMES))
+        rhs = draw(numpy_expressions(bound))
+        if kind == "assign":
+            lines.append(f"{target} = {rhs}")
+            bound.append(target)
+        elif kind == "if":
+            lines.append(f"if {draw(st.booleans())}:\n    {target} = {rhs}")
+        else:
+            count = draw(st.integers(min_value=0, max_value=2))
+            lines.append(f"for _ in range({count}):\n    {target} = {rhs}")
+    return "\n".join(lines)
+
+
+def _execute(source: str) -> dict:
+    namespace: dict = {}
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            exec(compile(source, "<snippet>", "exec"), namespace)
+        except (TypeError, IndexError, NameError, OverflowError):
+            reject()  # bool += 1 raises a casting error; scalars do not slice
+    return namespace
+
+
+def _claims(source: str) -> dict:
+    return {name: claim(source, name) for name in NAMES}
+
+
+def _same_dtype(claimed: str, actual: np.dtype) -> bool:
+    if claimed == "int_":
+        # The platform C long family: np.uint for unsigned operands.
+        return actual in (np.dtype(np.int_), np.dtype(np.uint))
+    return actual == np.dtype(claimed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(numpy_snippets())
+def test_dtype_claims_match_numpy(source):
+    namespace = _execute(source)
+    for name, claimed in _claims(source).items():
+        if claimed is None or name not in namespace:
+            continue
+        value = namespace[name]
+        assert isinstance(value, (np.ndarray, np.generic)), (source, name)
+        if claimed.dtype is not None:
+            assert _same_dtype(claimed.dtype, value.dtype), (
+                source, name, claimed, value.dtype)
+
+
+@settings(max_examples=150, deadline=None)
+@given(numpy_snippets(single_bindings=True))
+def test_dtype_claims_cover_single_bindings(source):
+    # Without rebinding nothing can disagree: every bound name gets a
+    # dtype, so the soundness property above is not vacuous.
+    namespace = _execute(source)
+    for name, claimed in _claims(source).items():
+        if name in namespace:
+            assert claimed is not None and claimed.dtype is not None, (source, name)

@@ -18,7 +18,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
@@ -116,10 +116,14 @@ def make_trace(refs) -> Trace:
     )
 
 
+# Each shrink step builds a scalar MemorySystem: a divergence shrinks for minutes.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
 class TestByteIdentity:
     """vector == scalar, byte for byte, over random and suite traces."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(refs=sim_refs, data=st.data())
     def test_random_traces_random_warmup(self, refs, data):
         warmup = data.draw(st.integers(min_value=0, max_value=len(refs) - 1))
@@ -128,7 +132,7 @@ class TestByteIdentity:
         vector = simulate_vector(trace, BASELINE, warmup=warmup)
         assert canon(vector) == canon(scalar)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(refs=sim_refs, data=st.data())
     def test_random_traces_random_assoc(self, refs, data):
         # The general set-associative pass (deaths-FIFO victims) against
@@ -141,7 +145,7 @@ class TestByteIdentity:
         vector = simulate_vector(trace, BASELINE, machine, warmup=warmup)
         assert canon(vector) == canon(scalar)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, phases=NO_SHRINK)
     @given(refs=sim_refs, data=st.data())
     def test_random_traces_partial_tags_assoc(self, refs, data):
         # Partial MCT tags bias classification toward conflict — the
@@ -154,7 +158,7 @@ class TestByteIdentity:
         vector = simulate_vector(trace, policy, machine, warmup=0)
         assert canon(vector) == canon(scalar)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, phases=NO_SHRINK)
     @given(refs=sim_refs)
     def test_random_traces_slow_bus(self, refs):
         trace = make_trace(refs)
@@ -164,7 +168,7 @@ class TestByteIdentity:
         vector = simulate_vector(trace, BASELINE, SLOW_BUS_MACHINE, warmup=0)
         assert canon(vector) == canon(scalar)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, phases=NO_SHRINK)
     @given(refs=sim_refs)
     def test_random_traces_slow_bus_assoc(self, refs):
         machine = machine_with_assoc(4, SLOW_BUS_MACHINE)
