@@ -9,14 +9,7 @@ from repro.cache.pseudo_assoc import (
     PacVariant,
     PseudoAssociativeCache,
 )
-from repro.cache.replacement import (
-    FIFOReplacement,
-    LRUReplacement,
-    MRUReplacement,
-    RandomReplacement,
-    ReplacementPolicy,
-    make_policy,
-)
+from repro.cache.replacement import LRUReplacement, ReplacementPolicy
 from repro.cache.set_assoc import AccessResult, SetAssociativeCache
 from repro.cache.stats import (
     BufferStats,
@@ -36,18 +29,14 @@ __all__ = [
     "CacheStats",
     "ClassificationStats",
     "EvictedLine",
-    "FIFOReplacement",
     "FullyAssociativeLRU",
     "LRUReplacement",
-    "MRUReplacement",
     "PacHit",
     "PacResult",
     "PacVariant",
     "PseudoAssociativeCache",
-    "RandomReplacement",
     "ReplacementPolicy",
     "SetAssociativeCache",
     "SystemStats",
     "TimingStats",
-    "make_policy",
 ]

@@ -53,8 +53,6 @@ class CacheLine:
         For assist buffers only — how the line entered the buffer.
     last_touch:
         Logical timestamp of the most recent access (LRU bookkeeping).
-    fill_time:
-        Logical timestamp of the fill (FIFO bookkeeping).
     secondary:
         For the pseudo-associative cache — True when the line currently
         lives in its rehash (secondary) location.
@@ -66,7 +64,6 @@ class CacheLine:
     conflict_bit: bool = False
     role: BufferRole | None = None
     last_touch: int = -1
-    fill_time: int = -1
     secondary: bool = False
 
     def invalidate(self) -> None:
@@ -77,7 +74,6 @@ class CacheLine:
         self.conflict_bit = False
         self.role = None
         self.last_touch = -1
-        self.fill_time = -1
         self.secondary = False
 
     def fill(
@@ -96,7 +92,6 @@ class CacheLine:
         self.conflict_bit = conflict_bit
         self.role = role
         self.last_touch = now
-        self.fill_time = now
         self.secondary = False
 
     def touch(self, now: int) -> None:

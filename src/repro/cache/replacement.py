@@ -2,17 +2,16 @@
 
 Policies are small strategy objects: given the lines of one set, pick the
 way to evict.  They are deliberately stateless — all the state they need
-(``last_touch``, ``fill_time``) lives on the :class:`~repro.cache.line.CacheLine`
-itself, so one policy instance can serve every set of every cache.
+(``last_touch``, the conflict bit) lives on the
+:class:`~repro.cache.line.CacheLine` itself, so one policy instance can
+serve every set of every cache.
 
-The paper's caches use LRU; FIFO and Random are provided for ablations and
-because the victim buffer is described as "a FIFO from which entries can be
-taken out of the middle".
+The paper's caches use LRU; the §5.6 extension's conflict-biased policy
+(:mod:`repro.extensions.assoc_replacement`) is the other implementation.
 """
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from typing import Sequence
 
@@ -51,58 +50,3 @@ class LRUReplacement(ReplacementPolicy):
         if empty is not None:
             return empty
         return min(range(len(lines)), key=lambda w: lines[w].last_touch)
-
-
-class FIFOReplacement(ReplacementPolicy):
-    """Evict the oldest-filled valid line, ignoring touches."""
-
-    def choose_victim(self, lines: Sequence[CacheLine]) -> int:
-        empty = self.first_invalid(lines)
-        if empty is not None:
-            return empty
-        return min(range(len(lines)), key=lambda w: lines[w].fill_time)
-
-
-class RandomReplacement(ReplacementPolicy):
-    """Evict a uniformly random valid line (seeded, reproducible)."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = random.Random(seed)
-
-    def choose_victim(self, lines: Sequence[CacheLine]) -> int:
-        empty = self.first_invalid(lines)
-        if empty is not None:
-            return empty
-        return self._rng.randrange(len(lines))
-
-
-class MRUReplacement(ReplacementPolicy):
-    """Evict the most-recently-used line.
-
-    Not used by the paper; useful as an adversarial baseline in tests —
-    any sane policy should beat it on LRU-friendly streams.
-    """
-
-    def choose_victim(self, lines: Sequence[CacheLine]) -> int:
-        empty = self.first_invalid(lines)
-        if empty is not None:
-            return empty
-        return max(range(len(lines)), key=lambda w: lines[w].last_touch)
-
-
-def make_policy(name: str, *, seed: int = 0) -> ReplacementPolicy:
-    """Factory by name: ``lru``, ``fifo``, ``random``, ``mru``."""
-    table = {
-        "lru": LRUReplacement,
-        "fifo": FIFOReplacement,
-        "mru": MRUReplacement,
-    }
-    if name == "random":
-        return RandomReplacement(seed=seed)
-    try:
-        return table[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown replacement policy {name!r}; expected one of "
-            f"{sorted(table) + ['random']}"
-        ) from None

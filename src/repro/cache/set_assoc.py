@@ -102,7 +102,7 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     @property
     def now(self) -> int:
-        """Logical access counter used for LRU/FIFO ordering."""
+        """Logical access counter used for LRU ordering."""
         return self._now
 
     def _tick(self) -> int:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro import faults
 from repro.experiments.base import ExperimentParams, ExperimentResult, format_result
@@ -46,44 +46,11 @@ from repro.harness.cells import (
     FaultInjection,
     expand_cells,
     known_experiments,
-    run_cell,
 )
 from repro.harness.checkpoint import CheckpointError, RunDirectory
 from repro.harness.executor import HarnessConfig, run_cells
 from repro.harness.report import CellReport, CellStatus
 from repro.obs.config import ObsConfig
-from repro.system.simulator import ENGINE_ENV_VAR, validate_engine_env
-
-RunFn = Callable[[ExperimentParams], List[ExperimentResult]]
-
-
-def _experiment_fn(name: str) -> RunFn:
-    def run(params: ExperimentParams) -> List[ExperimentResult]:
-        return [fn(params) for fn in VARIANTS[name].values()]
-
-    return run
-
-
-#: Legacy name -> run-function view of the cell registry (kept for the
-#: benchmark harness and direct library use; the CLI goes through cells).
-EXPERIMENTS: Dict[str, RunFn] = {
-    name: _experiment_fn(name) for name in VARIANTS
-}
-
-
-def run_experiments(
-    names: List[str], params: ExperimentParams
-) -> List[ExperimentResult]:
-    """Run experiments inline (no isolation) and return their tables."""
-    results: List[ExperimentResult] = []
-    for name in names:
-        if name not in VARIANTS:
-            raise SystemExit(
-                f"unknown experiment {name!r}; choose from "
-                f"{sorted(VARIANTS)} or 'all'"
-            )
-        results.extend(run_cell(spec, params) for spec in expand_cells([name]))
-    return results
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,15 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--quick", action="store_true", help="small traces for a fast pass"
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("auto", "scalar", "vector"),
-        default=None,
-        help="simulation engine: auto (default) picks the vectorised "
-        "engine for eligible cells, scalar pins the per-reference "
-        "reference loop; both are byte-identical (exported to worker "
-        "processes via REPRO_SIM_ENGINE)",
     )
     parser.add_argument(
         "--chart",
@@ -337,18 +295,6 @@ def main(argv: List[str] | None = None) -> int:
             faults.activate(faults.parse_plan(plan_text))
         except ValueError as exc:
             parser.error(str(exc))
-
-    # Worker cells run in separate processes, so the engine choice rides
-    # along in the environment rather than through CellSpec plumbing;
-    # simulate(engine="auto") reads it back at dispatch time.  Validate
-    # the variable up front either way: a typo in an inherited
-    # REPRO_SIM_ENGINE must abort here, not once per cell in workers.
-    if args.engine is not None:
-        os.environ[ENGINE_ENV_VAR] = args.engine
-    try:
-        validate_engine_env()
-    except ValueError as exc:
-        parser.error(str(exc))
 
     resume = args.resume is not None
     run_dir_path = args.resume if isinstance(args.resume, str) else args.run_dir

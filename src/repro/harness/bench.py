@@ -1,281 +1,70 @@
-"""Performance benchmark harness: the ``BENCH_sweep.json`` artifact.
+"""The ``single_node_service`` benchmark cell: 1000 concurrent sessions.
 
-Measures the numbers every scaling PR must not regress:
+The repository benchmark (``perfbench/run.py``, CI's ``bench`` job) times
+the simulator, the MRC engine, the accuracy loop and the service over
+two client connections, and checks every output.  This cell measures
+what it does not: a real :class:`repro.serve.server.ConflictServer` on
+a unix socket, driven by the package's own load generator at
+:data:`SESSIONS` concurrent sessions.  Server and generator share one
+event loop, so the cell needs no ports and no subprocesses, and every
+answer is timed while other sessions' batches keep the loop busy.
 
-* **single-cell throughput** — references simulated per second by one
-  :func:`repro.system.simulator.simulate` call (the per-reference hot
-  loop, free of harness overhead), measured twice: on the paper's
-  direct-mapped L1 and on a 2-way L1 (the general set-associative
-  vector pass), each alongside the pinned scalar reference so the
-  artifact carries both ``engine_speedup`` figures;
-* **MRC throughput** — the single-pass stack-distance engine against
-  the brute-force per-size FA sweep it replaced: both must agree
-  exactly, and the artifact records the speedup (the subsystem's
-  contract is >= 3x at the default nine-point ladder);
-* **sweep wall-clock** — a full ``fig3sweep`` campaign (one cell per
-  Section-5 benchmark) executed at ``--jobs 1`` and ``--jobs N``, which
-  measures the parallel scheduler's scaling and cross-checks that both
-  modes produce byte-identical checkpoint artifacts and identical cell
-  statuses;
-* **service throughput/latency** (``single_node_service``) — a real
-  :class:`repro.serve.ConflictServer` on a unix socket, driven by the
-  package's own load generator at ``--serve-sessions`` concurrent
-  sessions: aggregate refs/sec across all sessions plus p50/p99 answer
-  latency measured *under* that load, the floor the committed baseline
-  holds the service to.
+The artifact records aggregate refs/sec, p50/p99 answer latency under
+that load and the peak number of simultaneously live server sessions.
+``--check-against`` gates it on the committed limits in the baseline's
+``single_node_service`` entry:
 
-The result is written as a small schema-versioned JSON artifact
-(``BENCH_sweep.json`` by convention) that CI uploads per commit, forming
-a throughput trajectory over the repo's history.  ``--check-against``
-compares the measured single-cell throughput with a committed baseline
-and exits non-zero on a regression beyond ``--max-regression`` — the
-guard-rail for hot-path changes.
+* ``min_refs_per_sec`` — aggregate throughput floor;
+* ``sessions`` — the live-session peak must reach it;
+* ``max_answer_p99_ms`` — p99 answer-latency ceiling.
 
 Usage::
 
-    python -m repro.harness.bench --out BENCH_sweep.json
-    python -m repro.harness.bench --refs 20000 --jobs 4 \
-        --check-against benchmarks/BENCH_baseline.json --max-regression 0.3
-    python -m repro.harness.bench --skip-sweep      # hot loop only
+    python -m repro.harness.bench --out BENCH_service.json \\
+        --check-against benchmarks/BENCH_baseline.json
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
+import math
 import os
 import platform
 import sys
 import tempfile
-import time
-from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
-from repro.experiments.base import ExperimentParams
-from repro.harness.cells import expand_cells
-from repro.harness.checkpoint import RunDirectory
 from repro.harness.durable import atomic_write_text
-from repro.harness.executor import HarnessConfig, run_cells
-from repro.mrc.curve import brute_force_fa_misses, compute_mrc, default_size_ladder
-from repro.obs.spans import NULL_TRACER, Tracer
-from repro.system.config import MachineConfig, PAPER_MACHINE
-from repro.system.policies import BASELINE
-from repro.system.simulator import simulate, validate_engine_env
-from repro.workloads.spec_analogs import build
+from repro.serve.config import ServeConfig, raise_fd_limit
+from repro.serve.loadgen import build_parser as loadgen_parser
+from repro.serve.loadgen import run_load
+from repro.serve.server import ConflictServer
 
-#: Version of the BENCH artifact layout; bump on incompatible change.
-BENCH_SCHEMA = 1
+#: Version of the artifact layout; bump on incompatible change.
+BENCH_SCHEMA = 2
 
-#: Benchmark the single-cell probe simulates (an irregular C analog with
-#: a realistic hit/miss mix, so the measurement exercises both paths).
-SINGLE_CELL_BENCH = "gcc"
+#: Concurrent sessions (the generator's concurrency equals the count).
+SESSIONS = 1000
 
+#: Addresses each session streams, in four batches.
+REFS_PER_SESSION = 4000
+BATCH_SIZE = REFS_PER_SESSION // 4
 
-#: L1 associativity of the second single-cell probe: the smallest
-#: set-associative point, i.e. the paper's pseudo-associative cell and
-#: the first rung of every associativity ladder.
-ASSOC_PROBE_WAYS = 2
-
-
-def assoc_probe_machine() -> MachineConfig:
-    """The paper machine with a :data:`ASSOC_PROBE_WAYS`-way L1."""
-    return replace(
-        PAPER_MACHINE, l1=replace(PAPER_MACHINE.l1, assoc=ASSOC_PROBE_WAYS)
-    )
-
-
-def measure_single_cell(
-    refs: int,
-    warmup: int,
-    seed: int,
-    repeats: int = 3,
-    tracer: Tracer = NULL_TRACER,
-    engine: str = "auto",
-    machine: MachineConfig = PAPER_MACHINE,
-) -> Dict[str, object]:
-    """Time one trace through one policy; report the best of ``repeats``.
-
-    The best (not mean) run is the right summary for a regression gate:
-    scheduling noise only ever slows a run down, so the fastest repeat is
-    the closest estimate of the code's true cost.  ``engine`` selects the
-    simulation engine (the probe policy is bufferless, so ``"auto"``
-    resolves to the vector engine on any ``machine``).
-    """
-    trace = build(SINGLE_CELL_BENCH, refs, seed)
-    best = float("inf")
-    for repeat in range(1, repeats + 1):
-        with tracer.span("bench.iteration", repeat=repeat, engine=engine) as span:
-            started = time.perf_counter()
-            simulate(trace, BASELINE, machine, warmup=warmup, engine=engine)
-            elapsed = time.perf_counter() - started
-            span.set(seconds=round(elapsed, 4))
-        best = min(best, elapsed)
-    return {
-        "bench": SINGLE_CELL_BENCH,
-        "policy": BASELINE.name,
-        "engine": engine,
-        "l1_assoc": machine.l1.assoc,
-        "refs": refs,
-        "warmup": warmup,
-        "repeats": repeats,
-        "seconds": round(best, 4),
-        "refs_per_sec": round(refs / best, 1),
-    }
-
-
-def engines_identical(
-    refs: int, warmup: int, seed: int, machine: MachineConfig = PAPER_MACHINE
-) -> bool:
-    """One run per engine over the probe trace: must agree to the byte.
-
-    The two engines' contract is byte-identical ``SystemStats`` — the
-    bench enforces it on the exact workload it prices, so a published
-    throughput number can never come from an engine that drifted.
-    """
-    trace = build(SINGLE_CELL_BENCH, refs, seed)
-    scalar = simulate(trace, BASELINE, machine, warmup=warmup, engine="scalar")
-    vector = simulate(trace, BASELINE, machine, warmup=warmup, engine="vector")
-    return json.dumps(scalar.as_dict(), sort_keys=True) == json.dumps(
-        vector.as_dict(), sort_keys=True
-    )
-
-
-def measure_mrc(
-    refs: int, seed: int, repeats: int = 3, tracer: Tracer = NULL_TRACER
-) -> Dict[str, object]:
-    """Time one exact MRC pass against the per-size brute-force sweep.
-
-    Both sides run over the same trace and size ladder and must produce
-    identical miss counts (``identical`` in the payload; :func:`main`
-    fails the run otherwise).  ``speedup`` is the subsystem's headline
-    number: one stack pass pricing every size vs one FA simulation per
-    size.  Best-of-``repeats`` on both sides, same rationale as
-    :func:`measure_single_cell`.
-    """
-    trace = build(SINGLE_CELL_BENCH, refs, seed)
-    addresses = trace.addresses
-    address_list = [int(a) for a in addresses]
-    sizes = default_size_ladder()
-
-    best_pass = float("inf")
-    curve = compute_mrc(addresses, 64, sizes)
-    for repeat in range(1, repeats + 1):
-        with tracer.span("bench.mrc_pass", repeat=repeat) as span:
-            started = time.perf_counter()
-            curve = compute_mrc(addresses, 64, sizes)
-            elapsed = time.perf_counter() - started
-            span.set(seconds=round(elapsed, 4))
-        best_pass = min(best_pass, elapsed)
-
-    best_brute = float("inf")
-    brute = list(curve.misses)
-    for repeat in range(1, repeats + 1):
-        with tracer.span("bench.mrc_brute", repeat=repeat) as span:
-            started = time.perf_counter()
-            brute = [
-                brute_force_fa_misses(address_list, 64, size) for size in sizes
-            ]
-            elapsed = time.perf_counter() - started
-            span.set(seconds=round(elapsed, 4))
-        best_brute = min(best_brute, elapsed)
-
-    return {
-        "bench": SINGLE_CELL_BENCH,
-        "refs": refs,
-        "sizes": len(sizes),
-        "repeats": repeats,
-        "single_pass_s": round(best_pass, 4),
-        "brute_force_s": round(best_brute, 4),
-        "speedup": round(best_brute / best_pass, 2) if best_pass else 0.0,
-        "refs_per_sec": round(refs / best_pass, 1),
-        "identical": list(curve.misses) == brute,
-    }
-
-
-def _timed_sweep(
-    params: ExperimentParams, jobs: int, run_dir: RunDirectory
-) -> Dict[str, object]:
-    run_dir.prepare(params, resume=False)
-    cells = expand_cells(["fig3sweep"])
-    started = time.perf_counter()
-    report = run_cells(cells, params, HarnessConfig(jobs=jobs), run_dir=run_dir)
-    wall_clock = time.perf_counter() - started
-    return {
-        "jobs": jobs,
-        "cells": len(cells),
-        "wall_clock_s": round(wall_clock, 3),
-        "statuses": {c.cell_id: c.status.value for c in report.cells},
-        "ok": report.ok,
-    }
-
-
-def measure_sweep(
-    refs: int,
-    warmup: int,
-    seed: int,
-    jobs: int,
-    scratch: Path,
-    tracer: Tracer = NULL_TRACER,
-) -> Dict[str, object]:
-    """Run the fig3sweep campaign serially and at ``jobs``; compare them.
-
-    Returns wall-clock for both modes plus the equivalence checks the
-    scheduler guarantees: identical per-cell statuses and byte-identical
-    checkpoint artifacts regardless of dispatch order.
-    """
-    params = ExperimentParams(n_refs=refs, warmup=warmup, seed=seed)
-    serial_dir = RunDirectory(scratch / "jobs1")
-    parallel_dir = RunDirectory(scratch / f"jobs{jobs}")
-    with tracer.span("bench.sweep", jobs=1):
-        serial = _timed_sweep(params, 1, serial_dir)
-    with tracer.span("bench.sweep", jobs=jobs):
-        parallel = _timed_sweep(params, jobs, parallel_dir)
-
-    artifacts_identical = all(
-        serial_dir.cell_path(spec.cell_id).read_bytes()
-        == parallel_dir.cell_path(spec.cell_id).read_bytes()
-        for spec in expand_cells(["fig3sweep"])
-    )
-    speedup = (
-        serial["wall_clock_s"] / parallel["wall_clock_s"]
-        if parallel["wall_clock_s"]
-        else 0.0
-    )
-    return {
-        "experiment": "fig3sweep",
-        "serial": serial,
-        "parallel": parallel,
-        "speedup": round(speedup, 3),
-        "statuses_identical": serial["statuses"] == parallel["statuses"],
-        "artifacts_identical": artifacts_identical,
-    }
+#: The baseline's ``single_node_service`` keys ``--check-against`` reads.
+LIMIT_KEYS = ("min_refs_per_sec", "sessions", "max_answer_p99_ms")
 
 
 def measure_service(
-    sessions: int,
-    refs_per_session: int,
-    batch_size: int,
-    scratch: Path,
-    tracer: Tracer = NULL_TRACER,
+    sessions: int, refs_per_session: int, batch_size: int, scratch: Path
 ) -> Dict[str, object]:
-    """One in-process service run: server + loadgen on one event loop.
+    """One in-process service run with every session concurrent.
 
-    Running both sides in one process over a unix socket keeps the cell
-    hermetic (no ports, no subprocess lifetime management) and measures
-    the configuration that matters for the floor: every session
-    concurrent (loadgen concurrency == sessions), answers timed while
-    other sessions' batches keep the loop busy.  A sampler task records
-    the peak number of simultaneously live server sessions so the
-    artifact proves the concurrency level actually happened.
+    A sampler task records the peak number of simultaneously live server
+    sessions, so the artifact proves the concurrency level happened.
     """
-    import asyncio
-
-    from repro.serve.config import ServeConfig, raise_fd_limit
-    from repro.serve.loadgen import build_parser as loadgen_parser
-    from repro.serve.loadgen import run_load
-    from repro.serve.server import ConflictServer
-
     # Server and loadgen share the process: two descriptors per session.
     raise_fd_limit(2 * sessions + 64)
     socket_path = str(scratch / "bench-serve.sock")
@@ -300,20 +89,14 @@ def measure_service(
         sampler = asyncio.ensure_future(sample_peak())
         args = loadgen_parser().parse_args(
             [
-                "--socket",
-                socket_path,
-                "--sessions",
-                str(sessions),
-                "--concurrency",
-                str(sessions),
-                "--refs-per-session",
-                str(refs_per_session),
-                "--batch-size",
-                str(batch_size),
+                "--socket", socket_path,
+                "--sessions", str(sessions),
+                "--concurrency", str(sessions),
+                "--refs-per-session", str(refs_per_session),
+                "--batch-size", str(batch_size),
             ]
         )
-        with tracer.span("bench.service", sessions=sessions):
-            report = await run_load(args)
+        report = await run_load(args)
         sampler.cancel()
         await server.stop()
         report["peak_sessions"] = peak
@@ -323,172 +106,78 @@ def measure_service(
     return asyncio.run(cell())
 
 
-def check_regression(
-    payload: Dict[str, object], baseline_path: Path, max_regression: float
-) -> Optional[str]:
-    """Error text when throughput regressed beyond the allowance, else None."""
-    baseline = json.loads(baseline_path.read_text())
-    floor = float(baseline["single_cell"]["refs_per_sec"]) * (1.0 - max_regression)
-    measured = float(payload["single_cell"]["refs_per_sec"])  # type: ignore[index]
-    if measured < floor:
-        return (
-            f"single-cell throughput regressed: {measured:.0f} refs/sec < "
-            f"{floor:.0f} (baseline {baseline['single_cell']['refs_per_sec']} "
-            f"- {max_regression:.0%} allowance)"
+def check_service(
+    cell: Mapping[str, Any], limits: Mapping[str, float]
+) -> List[str]:
+    """Each committed limit ``cell`` breaks, as one line of text."""
+    refs = float(cell["refs_per_sec"])
+    peak = int(cell["peak_sessions"])
+    p99 = float(cell["answer_p99_ms"])
+    problems: List[str] = []
+    if refs < limits["min_refs_per_sec"]:
+        problems.append(
+            f"throughput {refs:.0f} refs/sec < floor "
+            f"{limits['min_refs_per_sec']:.0f}"
         )
-    if "single_cell_assoc" in baseline and "single_cell_assoc" in payload:
-        assoc_floor = float(
-            baseline["single_cell_assoc"]["refs_per_sec"]
-        ) * (1.0 - max_regression)
-        assoc_measured = float(
-            payload["single_cell_assoc"]["refs_per_sec"]  # type: ignore[index]
+    if peak < limits["sessions"]:
+        problems.append(
+            f"peaked at {peak} live session(s) < committed "
+            f"{limits['sessions']:.0f}"
         )
-        if assoc_measured < assoc_floor:
-            return (
-                f"associative-L1 throughput regressed: {assoc_measured:.0f} "
-                f"refs/sec < {assoc_floor:.0f} (baseline "
-                f"{baseline['single_cell_assoc']['refs_per_sec']} "
-                f"- {max_regression:.0%} allowance)"
-            )
-    if "mrc" in baseline and "mrc" in payload:
-        mrc_floor = float(baseline["mrc"]["refs_per_sec"]) * (1.0 - max_regression)
-        mrc_measured = float(payload["mrc"]["refs_per_sec"])  # type: ignore[index]
-        if mrc_measured < mrc_floor:
-            return (
-                f"MRC throughput regressed: {mrc_measured:.0f} refs/sec < "
-                f"{mrc_floor:.0f} (baseline {baseline['mrc']['refs_per_sec']} "
-                f"- {max_regression:.0%} allowance)"
-            )
-    if "single_node_service" in baseline and "single_node_service" in payload:
-        serve_base = baseline["single_node_service"]
-        serve_cell = payload["single_node_service"]
-        serve_floor = float(serve_base["refs_per_sec"]) * (1.0 - max_regression)
-        serve_measured = float(serve_cell["refs_per_sec"])  # type: ignore[index]
-        if serve_measured < serve_floor:
-            return (
-                f"service throughput regressed: {serve_measured:.0f} "
-                f"refs/sec < {serve_floor:.0f} (baseline "
-                f"{serve_base['refs_per_sec']} - {max_regression:.0%} "
-                f"allowance)"
-            )
-        if int(serve_cell["peak_sessions"]) < int(  # type: ignore[index]
-            serve_base["sessions"]
-        ):
-            return (
-                f"service concurrency shortfall: peaked at "
-                f"{serve_cell['peak_sessions']} live session(s) "  # type: ignore[index]
-                f"< committed {serve_base['sessions']}"
-            )
-        # Latency regresses upward, so the allowance flips sign.
-        p99_ceiling = float(serve_base["answer_p99_ms"]) * (1.0 + max_regression)
-        p99_measured = float(serve_cell["answer_p99_ms"])  # type: ignore[index]
-        if p99_measured > p99_ceiling:
-            return (
-                f"service answer latency regressed: p99 {p99_measured:.1f}ms "
-                f"> {p99_ceiling:.1f}ms (baseline "
-                f"{serve_base['answer_p99_ms']}ms + {max_regression:.0%} "
-                f"allowance)"
-            )
-    return None
+    if p99 > limits["max_answer_p99_ms"]:
+        problems.append(
+            f"answer p99 {p99:.1f}ms > ceiling "
+            f"{limits['max_answer_p99_ms']:.1f}ms"
+        )
+    return problems
+
+
+def read_limits(path: str) -> Dict[str, float]:
+    """``--check-against``: the committed limits, read as the flag parses."""
+    try:
+        entry = json.loads(Path(path).read_text())["single_node_service"]
+        limits = {key: float(entry[key]) for key in LIMIT_KEYS}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"no single_node_service limits {list(LIMIT_KEYS)} in {path}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from None
+    bad = [k for k, value in limits.items() if not (0 < value < math.inf)]
+    if bad:
+        raise argparse.ArgumentTypeError(
+            f"{path}: {bad} must be positive and finite"
+        )
+    return limits
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness.bench",
-        description="Measure hot-loop throughput and sweep scaling; "
-        "emit the BENCH_sweep.json trajectory artifact.",
-    )
-    parser.add_argument("--refs", type=int, default=60_000, help="trace length")
-    parser.add_argument("--warmup", type=int, default=20_000, help="warmup refs")
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parallel width for the sweep comparison (default: CPU count)",
+        description=f"Run the single_node_service cell ({SESSIONS} concurrent "
+        "in-process sessions) and write its JSON artifact.",
     )
     parser.add_argument(
         "--out",
-        default="BENCH_sweep.json",
+        default="BENCH_service.json",
         metavar="FILE",
         help="where to write the artifact (default: %(default)s)",
     )
     parser.add_argument(
-        "--skip-sweep",
-        action="store_true",
-        help="measure only the single-cell hot loop (fast smoke)",
-    )
-    parser.add_argument(
-        "--serve-sessions",
-        type=int,
-        default=1000,
-        metavar="N",
-        help="concurrent sessions for the single_node_service cell "
-        "(default: %(default)s — the committed concurrency floor)",
-    )
-    parser.add_argument(
-        "--serve-refs",
-        type=int,
-        default=4000,
-        metavar="N",
-        help="addresses each service session streams (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--skip-serve",
-        action="store_true",
-        help="skip the single_node_service cell",
-    )
-    parser.add_argument(
         "--check-against",
+        type=read_limits,
         default=None,
         metavar="BASELINE",
-        help="compare single-cell refs/sec against this committed artifact",
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.30,
-        metavar="FRACTION",
-        help="allowed single-cell slowdown vs baseline (default: 0.30)",
-    )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="record a tracing span per bench iteration/sweep into the artifact",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("auto", "scalar", "vector"),
-        default="auto",
-        help="simulation engine for the single-cell probe (default: auto; "
-        "the scalar reference is always measured alongside for the "
-        "engine-speedup figure)",
+        help="fail unless the cell meets this file's single_node_service limits",
     )
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.refs <= 0 or not 0 <= args.warmup < args.refs:
-        print("bench: need refs > 0 and 0 <= warmup < refs", file=sys.stderr)
-        return 2
-    if not 0 <= args.max_regression < 1:
-        print("bench: --max-regression must be in [0, 1)", file=sys.stderr)
-        return 2
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if jobs < 1:
-        print("bench: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        # A typo'd REPRO_SIM_ENGINE must abort before anything is timed
-        # (or inherited by sweep workers), not fall back per cell.
-        validate_engine_env()
-    except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
-
-    tracer = Tracer("bench") if args.trace else NULL_TRACER
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as scratch:
+        cell = measure_service(
+            SESSIONS, REFS_PER_SESSION, BATCH_SIZE, scratch=Path(scratch)
+        )
     payload: Dict[str, object] = {
         "schema": BENCH_SCHEMA,
         "machine": {
@@ -496,137 +185,27 @@ def main(argv: Optional[List[str]] = None) -> int:
             "python": platform.python_version(),
             "platform": platform.platform(),
         },
-        "single_cell": measure_single_cell(
-            args.refs, args.warmup, args.seed, tracer=tracer, engine=args.engine
-        ),
-        "single_cell_scalar": measure_single_cell(
-            args.refs, args.warmup, args.seed, tracer=tracer, engine="scalar"
-        ),
-        "engines_identical": engines_identical(args.refs, args.warmup, args.seed),
-        "single_cell_assoc": measure_single_cell(
-            args.refs, args.warmup, args.seed, tracer=tracer,
-            engine=args.engine, machine=assoc_probe_machine(),
-        ),
-        "single_cell_assoc_scalar": measure_single_cell(
-            args.refs, args.warmup, args.seed, tracer=tracer,
-            engine="scalar", machine=assoc_probe_machine(),
-        ),
-        "engines_identical_assoc": engines_identical(
-            args.refs, args.warmup, args.seed, machine=assoc_probe_machine()
-        ),
-        "mrc": measure_mrc(args.refs, args.seed, tracer=tracer),
+        "single_node_service": cell,
     }
-    scalar_cell = payload["single_cell_scalar"]
-    payload["engine_speedup"] = round(
-        float(payload["single_cell"]["refs_per_sec"])  # type: ignore[index]
-        / float(scalar_cell["refs_per_sec"]),  # type: ignore[index]
-        2,
-    )
-    assoc_scalar_cell = payload["single_cell_assoc_scalar"]
-    payload["engine_speedup_assoc"] = round(
-        float(payload["single_cell_assoc"]["refs_per_sec"])  # type: ignore[index]
-        / float(assoc_scalar_cell["refs_per_sec"]),  # type: ignore[index]
-        2,
-    )
-    if not args.skip_serve:
-        with tempfile.TemporaryDirectory(prefix="repro-serve-") as scratch:
-            payload["single_node_service"] = measure_service(
-                args.serve_sessions,
-                args.serve_refs,
-                batch_size=max(1, args.serve_refs // 4),
-                scratch=Path(scratch),
-                tracer=tracer,
-            )
-    if not args.skip_sweep:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-") as scratch:
-            payload["sweep"] = measure_sweep(
-                args.refs, args.warmup, args.seed, jobs, Path(scratch), tracer=tracer
-            )
-    if args.trace:
-        payload["spans"] = tracer.to_dicts()
-
     out = Path(args.out)
     atomic_write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    single = payload["single_cell"]
     print(
-        f"[bench] single-cell ({single['engine']}): "  # type: ignore[index]
-        f"{single['refs_per_sec']} refs/sec "  # type: ignore[index]
-        f"({single['refs']} refs, best of {single['repeats']})"  # type: ignore[index]
+        f"[bench] service: {cell['sessions']} session(s) "
+        f"(peak {cell['peak_sessions']} live), "
+        f"{cell['refs_per_sec']} refs/sec aggregate, "
+        f"answers p50={cell['answer_p50_ms']}ms p99={cell['answer_p99_ms']}ms"
     )
-    print(
-        f"[bench] single-cell (scalar): {scalar_cell['refs_per_sec']} "  # type: ignore[index]
-        f"refs/sec — engine speedup {payload['engine_speedup']}x, "
-        f"identical stats: {payload['engines_identical']}"
-    )
-    if not payload["engines_identical"]:
-        print(
-            "[bench] ERROR: vector engine disagrees with the scalar reference",
-            file=sys.stderr,
-        )
-        return 1
-    assoc_cell = payload["single_cell_assoc"]
-    print(
-        f"[bench] single-cell ({ASSOC_PROBE_WAYS}-way L1, "
-        f"{assoc_cell['engine']}): "  # type: ignore[index]
-        f"{assoc_cell['refs_per_sec']} refs/sec vs "  # type: ignore[index]
-        f"{assoc_scalar_cell['refs_per_sec']} scalar "  # type: ignore[index]
-        f"— engine speedup {payload['engine_speedup_assoc']}x, "
-        f"identical stats: {payload['engines_identical_assoc']}"
-    )
-    if not payload["engines_identical_assoc"]:
-        print(
-            "[bench] ERROR: vector engine disagrees with the scalar "
-            f"reference on the {ASSOC_PROBE_WAYS}-way L1 probe",
-            file=sys.stderr,
-        )
-        return 1
-    mrc = payload["mrc"]
-    print(
-        f"[bench] mrc: {mrc['refs_per_sec']} refs/sec, "  # type: ignore[index]
-        f"{mrc['speedup']}x vs brute force over {mrc['sizes']} sizes "  # type: ignore[index]
-        f"(identical: {mrc['identical']})"  # type: ignore[index]
-    )
-    if not mrc["identical"]:  # type: ignore[index]
-        print(
-            "[bench] ERROR: single-pass MRC disagrees with brute force",
-            file=sys.stderr,
-        )
-        return 1
-    if "single_node_service" in payload:
-        serve_cell = payload["single_node_service"]
-        print(
-            f"[bench] service: {serve_cell['sessions']} session(s) "  # type: ignore[index]
-            f"(peak {serve_cell['peak_sessions']} live), "  # type: ignore[index]
-            f"{serve_cell['refs_per_sec']} refs/sec aggregate, "  # type: ignore[index]
-            f"answers p50={serve_cell['answer_p50_ms']}ms "  # type: ignore[index]
-            f"p99={serve_cell['answer_p99_ms']}ms"  # type: ignore[index]
-        )
-        if serve_cell["errors"]:  # type: ignore[index]
-            print(
-                "[bench] ERROR: service sessions failed during the bench run",
-                file=sys.stderr,
-            )
-            return 1
-    if "sweep" in payload:
-        sweep = payload["sweep"]
-        print(
-            f"[bench] fig3sweep: jobs=1 {sweep['serial']['wall_clock_s']}s, "  # type: ignore[index]
-            f"jobs={sweep['parallel']['jobs']} "  # type: ignore[index]
-            f"{sweep['parallel']['wall_clock_s']}s "  # type: ignore[index]
-            f"(speedup {sweep['speedup']}x, "  # type: ignore[index]
-            f"artifacts identical: {sweep['artifacts_identical']})"  # type: ignore[index]
-        )
-        if not (sweep["statuses_identical"] and sweep["artifacts_identical"]):  # type: ignore[index]
-            print("[bench] ERROR: jobs=1 and jobs=N runs disagree", file=sys.stderr)
-            return 1
     print(f"[bench] artifact written to {out}")
-
-    if args.check_against:
-        error = check_regression(payload, Path(args.check_against), args.max_regression)
-        if error:
-            print(f"[bench] FAIL: {error}", file=sys.stderr)
+    if cell["errors"]:
+        print("[bench] ERROR: service sessions failed during the run", file=sys.stderr)
+        return 1
+    if args.check_against is not None:
+        problems = check_service(cell, args.check_against)
+        for problem in problems:
+            print(f"[bench] FAIL: {problem}", file=sys.stderr)
+        if problems:
             return 1
-        print(f"[bench] throughput within {args.max_regression:.0%} of baseline")
+        print("[bench] within the committed service limits")
     return 0
 
 

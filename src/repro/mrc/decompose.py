@@ -2,35 +2,39 @@
 
 Hill's taxonomy (the one :mod:`repro.core.ground_truth` implements)
 classifies each *real-cache* miss against a fully-associative LRU cache
-of equal capacity.  This layer replays a reference stream through the
-set-indexed geometry at each probed size and classifies every miss from
-the shared single-pass :class:`~repro.mrc.stack.StackProfile`:
+of equal capacity.  This layer prices the set-indexed geometry at each
+probed size and classifies every miss from the shared single-pass
+:class:`~repro.mrc.stack.StackProfile`, with the masks
+:func:`repro.core.accuracy.measure_accuracy` uses:
 
 * first touch — **compulsory**;
 * stack distance ``<= capacity_lines`` (the FA cache would have hit) —
   **conflict**;
 * otherwise — **capacity**.
 
-The per-size replay itself is the cheap half (a per-set LRU update per
-reference); the expensive FA model is read off the one stack pass for
-every size, which is what turns the O(sizes × trace) ground-truth sweep
-into O(trace).  The real-cache side is a plain LRU set-associative
-model, hit/miss-equivalent to
-:class:`~repro.cache.set_assoc.SetAssociativeCache` with its default
-LRU policy — the test suite pins the decomposition, count for count, to
+The real cache's hits come from :func:`repro.mrc.stack.set_lru_flags`
+over the set-sorted stream, the set-LRU kernel the simulator's L1 and
+L2 passes run; the FA model is read off the one stack pass for every
+size.  The test suite pins the decomposition, count for count, to
 :class:`~repro.core.ground_truth.GroundTruthClassifier` running against
-that cache.
+:class:`~repro.cache.set_assoc.SetAssociativeCache`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.mrc.stack import COLD, StackProfile, _is_pow2, _log2, compute_profile
+from repro.mrc.stack import (
+    COLD,
+    StackProfile,
+    _is_pow2,
+    _log2,
+    compute_profile,
+    set_lru_flags,
+)
 
 
 @dataclass(frozen=True)
@@ -64,14 +68,6 @@ class ConflictSplit:
         """Conflict misses as a share of all misses, in percent."""
         return 100.0 * self.conflict / self.misses if self.misses else 0.0
 
-    @property
-    def capacity_share(self) -> float:
-        return 100.0 * self.capacity / self.misses if self.misses else 0.0
-
-    @property
-    def compulsory_share(self) -> float:
-        return 100.0 * self.compulsory / self.misses if self.misses else 0.0
-
     def breakdown(self) -> Dict[str, int]:
         """Same shape as ``GroundTruthClassifier.miss_breakdown()``."""
         return {
@@ -82,12 +78,12 @@ class ConflictSplit:
 
 
 def decompose_size(
-    blocks: Sequence[int],
+    blocks: "np.ndarray | Sequence[int]",
     profile: StackProfile,
     size_lines: int,
     assoc: int,
 ) -> ConflictSplit:
-    """Replay one set-indexed geometry and split its misses.
+    """Price one set-indexed LRU geometry and split its misses.
 
     ``blocks`` must be the line-granular block numbers of exactly the
     stream ``profile`` was computed from.
@@ -104,37 +100,25 @@ def decompose_size(
             f"set count {num_sets} must be a power of two (bit-selection "
             f"indexing)"
         )
-    mask = num_sets - 1
-    distances = profile.distances.tolist()
-    sets: Dict[int, "OrderedDict[int, None]"] = {}
-    misses = compulsory = conflict = capacity = 0
-    for pos, block in enumerate(blocks):
-        lru = sets.get(block & mask)
-        if lru is None:
-            lru = OrderedDict()
-            sets[block & mask] = lru
-        if block in lru:
-            lru.move_to_end(block)
-            continue
-        misses += 1
-        distance = distances[pos]
-        if distance == COLD:
-            compulsory += 1
-        elif distance <= size_lines:
-            conflict += 1
-        else:
-            capacity += 1
-        if len(lru) >= assoc:
-            lru.popitem(last=False)
-        lru[block] = None
+    block_array = np.asarray(blocks, dtype=np.int64)
+    sets = block_array & (num_sets - 1)
+    order = np.argsort(sets, kind="stable")
+    hit, _ = set_lru_flags(block_array[order], sets[order], assoc)
+    distances = profile.distances[order]
+    miss = ~hit
+    cold = distances == COLD
+    actual = miss & ~cold & (distances <= size_lines)
+    misses, compulsory, conflict = np.count_nonzero(
+        np.stack((miss, cold, actual)), axis=1
+    ).tolist()
     return ConflictSplit(
         size_lines=size_lines,
         assoc=assoc,
         line_size=profile.line_size,
-        total_refs=len(blocks),
+        total_refs=len(block_array),
         misses=misses,
         compulsory=compulsory,
-        capacity=capacity,
+        capacity=misses - compulsory - conflict,
         conflict=conflict,
     )
 
@@ -165,7 +149,7 @@ def conflict_decomposition(
             f"profile covers {profile.total_refs} refs, stream has "
             f"{len(addr_array)}"
         )
-    blocks: List[int] = (addr_array >> _log2(line_size)).tolist()
+    blocks = addr_array >> _log2(line_size)
     return [
         decompose_size(blocks, profile, size, assoc) for size in sizes_lines
     ]

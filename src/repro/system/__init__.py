@@ -17,7 +17,6 @@ from repro.system.multithreaded import (
 from repro.system.pac_system import PacMemorySystem, simulate_pac
 from repro.system.policies import BASELINE, AssistConfig, ExclusionMode
 from repro.system.simulator import (
-    ENGINE_ENV_VAR,
     geomean,
     mean,
     simulate,
@@ -30,7 +29,6 @@ from repro.system.vector import simulate_vector, vector_supported
 __all__ = [
     "AssistConfig",
     "BASELINE",
-    "ENGINE_ENV_VAR",
     "ExclusionMode",
     "MachineConfig",
     "MemorySystem",

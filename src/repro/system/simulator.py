@@ -11,16 +11,13 @@ Two engines produce byte-identical statistics:
   bufferless policies it supports.
 
 ``engine="auto"`` (the default) picks the vector engine whenever the
-run is eligible and can be overridden per process with the
-``REPRO_SIM_ENGINE`` environment variable (how ``--engine`` reaches
-harness workers).  Also provides the speedup helpers the figures are
+run is eligible.  Also provides the speedup helpers the figures are
 built from (IPC relative to a baseline policy on the same trace) and the
 geometric/arithmetic means the paper averages with.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import islice
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -33,30 +30,7 @@ from repro.system.memory_system import MemorySystem
 from repro.system.policies import AssistConfig
 from repro.workloads.trace import Trace
 
-#: Environment override consulted by ``engine="auto"`` — set by the
-#: experiment runner's ``--engine`` flag so worker processes inherit it.
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
 _ENGINES = ("auto", "scalar", "vector")
-
-
-def validate_engine_env() -> Optional[str]:
-    """Fail fast on an invalid :data:`ENGINE_ENV_VAR` value.
-
-    Supervisors (the experiment runner, the bench harness) call this at
-    spawn time, *before* any worker inherits the environment: a typo
-    like ``REPRO_SIM_ENGINE=vecotr`` must abort the campaign up front
-    with the valid choices, not surface as one ``ValueError`` per cell
-    deep inside worker processes.  Returns the (valid) value, or
-    ``None`` when the variable is unset.
-    """
-    value = os.environ.get(ENGINE_ENV_VAR)
-    if value is not None and value not in _ENGINES:
-        raise ValueError(
-            f"${ENGINE_ENV_VAR}={value!r} is not a valid simulation "
-            f"engine: expected one of {', '.join(_ENGINES)}"
-        )
-    return value
 
 #: One (address, is_load, gap) triple per reference.
 _Ref = Tuple[int, bool, int]
@@ -93,32 +67,27 @@ def simulate(
 
     ``engine`` selects the implementation: ``"scalar"`` always uses the
     reference per-reference loop, ``"vector"`` *demands* the
-    set-partitioned engine, and ``"auto"`` (the default, further
-    overridable via :data:`ENGINE_ENV_VAR`) uses the vector engine when
-    the run is eligible.  For an ineligible cell (assist buffer — see
-    :func:`repro.system.vector.vector_ineligibility`) ``"auto"`` falls
-    back to the scalar engine, recording an ``engine_fallback`` event
-    with the reason when metrics are active, while ``"vector"`` raises
-    the reason — a demand that cannot be honoured must not silently
-    time the wrong engine.  The engines are byte-identical, so auto's
-    fallback never changes results.
+    set-partitioned engine, and ``"auto"`` (the default) uses the vector
+    engine when the run is eligible.  For an ineligible cell (assist
+    buffer — see :func:`repro.system.vector.vector_ineligibility`)
+    ``"auto"`` falls back to the scalar engine, recording an
+    ``engine_fallback`` event with the reason when metrics are active,
+    while ``"vector"`` raises the reason — a demand that cannot be
+    honoured must not silently time the wrong engine.  The engines are
+    byte-identical, so auto's fallback never changes results.
     """
     check_warmup(warmup, len(trace))
-    resolved = engine
-    if resolved == "auto":
-        resolved = os.environ.get(ENGINE_ENV_VAR, "auto")
-    if resolved not in _ENGINES:
+    if engine not in _ENGINES:
         raise ValueError(
-            f"unknown engine {resolved!r} (from engine={engine!r} / "
-            f"${ENGINE_ENV_VAR}): expected one of {', '.join(_ENGINES)}"
+            f"unknown engine {engine!r}: expected one of {', '.join(_ENGINES)}"
         )
-    if resolved != "scalar":
+    if engine != "scalar":
         from repro.system import vector
 
         reason = vector.vector_ineligibility(policy, machine)
         if reason is None:
             return vector.simulate_vector(trace, policy, machine, warmup=warmup)
-        if resolved == "vector":
+        if engine == "vector":
             raise ValueError(
                 f"engine='vector' cannot run this cell: {reason} — "
                 "use engine='auto' (scalar fallback) or engine='scalar'"

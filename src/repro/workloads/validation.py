@@ -10,10 +10,11 @@ and it runs standalone after retuning an analog:
 
 from __future__ import annotations
 
-import sys
+import argparse
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from repro.argtypes import checked
 from repro.cache.geometry import CacheGeometry
 from repro.core.accuracy import measure_accuracy
 from repro.workloads.spec_analogs import EVAL_SUITE, SUITE, build
@@ -102,9 +103,18 @@ def validate_suite(
     return [validate(name, n_refs) for name in (names or list(SUITE))]
 
 
-def main(argv: Sequence[str] | None = None) -> int:  # pragma: no cover - CLI
-    names = list(argv if argv is not None else sys.argv[1:]) or None
-    reports = validate_suite(names)
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.workloads.validation",
+        description="Check SPEC95 analogs against their calibration contracts.",
+    )
+    parser.add_argument(
+        "benches",
+        nargs="*",
+        type=checked(str, lambda name: build(name, 0)),
+        help="analogs to validate (default: every registered analog)",
+    )
+    reports = validate_suite(parser.parse_args(argv).benches or None)
     print(f"{'bench':<9} {'miss%':>6} {'conf-frac':>10} "
           f"{'conf-acc':>9} {'cap-acc':>8}  status")
     bad = 0

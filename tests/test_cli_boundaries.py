@@ -13,9 +13,11 @@ from typing import Callable, List, Tuple
 
 import pytest
 
+from repro.harness import bench
 from repro.mrc.cli import main as mrc_main
 from repro.serve.__main__ import main as serve_main
 from repro.serve.loadgen import main as loadgen_main
+from repro.workloads.validation import main as validation_main
 
 
 def run_cli(
@@ -106,3 +108,44 @@ def test_loadgen_rejects_bad_flags(argv, flag, capsys, tmp_path):
     socket = str(tmp_path / "absent.sock")
     code, stderr = run_cli(loadgen_main, ["--socket", socket, *argv], capsys, 1.0)
     assert_usage_error(code, stderr, flag)
+
+
+@pytest.mark.parametrize("argv", [["nosuchbench"], ["gcc", "nosuchbench"]])
+def test_validation_rejects_bad_names(argv, capsys):
+    code, stderr = run_cli(validation_main, argv, capsys, 10.0)
+    assert_usage_error(code, stderr, "benches")
+    assert "nosuchbench" in stderr
+
+
+def test_validation_help_exits_zero(capsys):
+    code, stderr = run_cli(validation_main, ["--help"], capsys, 10.0)
+    assert code == 0 and stderr == ""
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # missing file
+        "{",  # not JSON
+        "[]",  # no single_node_service entry
+        '{"single_node_service": {"sessions": 1000}}',  # limits missing
+        '{"single_node_service": {"min_refs_per_sec": 1, "sessions": 1,'
+        ' "max_answer_p99_ms": "fast"}}',
+        '{"single_node_service": {"min_refs_per_sec": 1, "sessions": 0,'
+        ' "max_answer_p99_ms": 1}}',
+    ],
+)
+def test_bench_rejects_bad_baseline_before_timing(
+    content, capsys, tmp_path, monkeypatch
+):
+    def timed(*args, **kwargs):
+        raise AssertionError("the cell ran before --check-against was checked")
+
+    monkeypatch.setattr(bench, "measure_service", timed)
+    baseline = tmp_path / "baseline.json"
+    if content is not None:
+        baseline.write_text(content)
+    argv = ["--out", str(tmp_path / "out.json"), "--check-against", str(baseline)]
+    code, stderr = run_cli(bench.main, argv, capsys, 10.0)
+    assert_usage_error(code, stderr, "--check-against")
+    assert not (tmp_path / "out.json").exists()

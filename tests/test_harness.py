@@ -10,7 +10,6 @@ Covers the acceptance criteria of the harness:
 """
 
 import json
-import os
 
 import pytest
 
@@ -369,40 +368,6 @@ class TestCLIHarness:
     def test_resume_requires_dir(self):
         with pytest.raises(SystemExit):
             main(self.ARGS + ["--resume"])
-
-    def test_invalid_engine_env_fails_at_spawn(self, monkeypatch, capsys):
-        # A typo'd REPRO_SIM_ENGINE must abort the campaign before any
-        # worker is spawned (argparse exit 2), naming the valid choices
-        # — not surface as a per-cell ValueError inside workers.
-        from repro.system.simulator import ENGINE_ENV_VAR
-
-        monkeypatch.setenv(ENGINE_ENV_VAR, "vecotr")
-        with pytest.raises(SystemExit) as exc:
-            main(self.ARGS)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "vecotr" in err
-        assert "auto, scalar, vector" in err
-
-    def test_explicit_engine_flag_overrides_bad_env(self, monkeypatch, capsys):
-        # --engine exports over the inherited value, so a valid explicit
-        # choice must win over (and repair) a stale environment.
-        from repro.system.simulator import ENGINE_ENV_VAR
-
-        monkeypatch.setenv(ENGINE_ENV_VAR, "vecotr")
-        rc = main(self.ARGS + ["--engine", "scalar"])
-        assert rc == 0
-        assert os.environ[ENGINE_ENV_VAR] == "scalar"
-
-    def test_bench_rejects_invalid_engine_env(self, monkeypatch, capsys):
-        from repro.harness.bench import main as bench_main
-        from repro.system.simulator import ENGINE_ENV_VAR
-
-        monkeypatch.setenv(ENGINE_ENV_VAR, "vecotr")
-        rc = bench_main(["--refs", "200", "--warmup", "50", "--skip-sweep"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "vecotr" in err and "auto, scalar, vector" in err
 
     def test_timeout_flag_kills_hung_cell(self, tmp_path, capsys):
         rc = main(self.ARGS + [

@@ -1,15 +1,7 @@
 """Unit tests for cache-line state and replacement policies."""
 
-import pytest
-
 from repro.cache.line import BufferRole, CacheLine, EvictedLine
-from repro.cache.replacement import (
-    FIFOReplacement,
-    LRUReplacement,
-    MRUReplacement,
-    RandomReplacement,
-    make_policy,
-)
+from repro.cache.replacement import LRUReplacement
 
 
 class TestCacheLine:
@@ -27,7 +19,6 @@ class TestCacheLine:
         assert line.conflict_bit
         assert line.role is BufferRole.VICTIM
         assert line.last_touch == 7
-        assert line.fill_time == 7
 
     def test_fill_overwrites_previous_state(self):
         line = CacheLine()
@@ -37,12 +28,12 @@ class TestCacheLine:
         assert not line.conflict_bit
         assert not line.dirty
 
-    def test_touch_updates_lru_not_fifo(self):
+    def test_touch_updates_last_touch_only(self):
         line = CacheLine()
-        line.fill(1, now=1)
+        line.fill(1, now=1, conflict_bit=True)
         line.touch(9)
         assert line.last_touch == 9
-        assert line.fill_time == 1
+        assert (line.tag, line.valid, line.conflict_bit) == (1, True, True)
 
     def test_invalidate_clears_everything(self):
         line = CacheLine()
@@ -65,76 +56,28 @@ class TestCacheLine:
 
 
 def _lines(*specs):
-    """specs: (valid, last_touch, fill_time) triples."""
+    """specs: (valid, last_touch) pairs."""
     out = []
-    for valid, touch, fill in specs:
+    for valid, touch in specs:
         line = CacheLine()
         if valid:
-            line.fill(0, now=fill)
-            line.touch(touch)
+            line.fill(0, now=touch)
         out.append(line)
     return out
 
 
 class TestLRU:
     def test_prefers_invalid_way(self):
-        lines = _lines((True, 9, 1), (False, 0, 0), (True, 2, 1))
+        lines = _lines((True, 9), (False, 0), (True, 2))
         assert LRUReplacement().choose_victim(lines) == 1
 
     def test_evicts_least_recently_touched(self):
-        lines = _lines((True, 9, 1), (True, 3, 2), (True, 7, 3))
+        lines = _lines((True, 9), (True, 3), (True, 7))
         assert LRUReplacement().choose_victim(lines) == 1
 
     def test_single_way(self):
-        lines = _lines((True, 5, 5))
+        lines = _lines((True, 5))
         assert LRUReplacement().choose_victim(lines) == 0
-
-
-class TestFIFO:
-    def test_evicts_oldest_fill_despite_touches(self):
-        lines = _lines((True, 99, 1), (True, 2, 2), (True, 3, 3))
-        assert FIFOReplacement().choose_victim(lines) == 0
-
-    def test_prefers_invalid(self):
-        lines = _lines((True, 1, 1), (False, 0, 0))
-        assert FIFOReplacement().choose_victim(lines) == 1
-
-
-class TestMRU:
-    def test_evicts_most_recent(self):
-        lines = _lines((True, 9, 1), (True, 3, 2), (True, 7, 3))
-        assert MRUReplacement().choose_victim(lines) == 0
-
-
-class TestRandom:
-    def test_deterministic_with_seed(self):
-        lines = _lines((True, 1, 1), (True, 2, 2), (True, 3, 3), (True, 4, 4))
-        a = [RandomReplacement(seed=7).choose_victim(lines) for _ in range(10)]
-        b = [RandomReplacement(seed=7).choose_victim(lines) for _ in range(10)]
-        assert a == b
-
-    def test_in_range(self):
-        lines = _lines((True, 1, 1), (True, 2, 2))
-        policy = RandomReplacement(seed=0)
-        assert all(policy.choose_victim(lines) in (0, 1) for _ in range(20))
-
-
-class TestFactory:
-    @pytest.mark.parametrize(
-        "name,cls",
-        [
-            ("lru", LRUReplacement),
-            ("fifo", FIFOReplacement),
-            ("mru", MRUReplacement),
-            ("random", RandomReplacement),
-        ],
-    )
-    def test_make_policy(self, name, cls):
-        assert isinstance(make_policy(name), cls)
-
-    def test_unknown_policy_raises(self):
-        with pytest.raises(ValueError, match="unknown replacement"):
-            make_policy("plru")
 
     def test_policy_name_property(self):
         assert LRUReplacement().name == "lru"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from repro.mrc import (
 )
 from repro.mrc.cli import main as mrc_main
 from repro.mrc.curve import MissRatioCurve
+from repro.mrc.decompose import ConflictSplit
 from repro.mrc.sampling import SampleResult, hash_blocks
 from repro.mrc.stack import _Fenwick
 from repro.workloads.spec_analogs import EVAL_SUITE, build
@@ -289,6 +291,54 @@ class TestDecomposition:
             decompose_size([1, 2, 3], profile, size_lines=6, assoc=4)
         with pytest.raises(ValueError):
             decompose_size([1, 2, 3], profile, size_lines=12, assoc=1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        refs=st.lists(
+            st.integers(min_value=0, max_value=255), min_size=1, max_size=600
+        ),
+        assoc=st.integers(min_value=1, max_value=4),
+        set_bits=st.integers(min_value=0, max_value=5),
+    )
+    def test_split_matches_reference_loop(self, refs, assoc, set_bits):
+        size_lines = assoc << set_bits
+        profile = compute_profile(addresses_from_blocks(refs), LINE)
+        split = decompose_size(refs, profile, size_lines, assoc)
+        assert split == reference_split(refs, profile, size_lines, assoc)
+
+
+def reference_split(refs, profile, size_lines, assoc) -> ConflictSplit:
+    """The per-reference ``OrderedDict`` set-LRU replay that
+    :func:`decompose_size` replaced, kept as its reference."""
+    mask = size_lines // assoc - 1
+    distances = profile.distances.tolist()
+    sets = {}
+    misses = compulsory = conflict = capacity = 0
+    for pos, block in enumerate(refs):
+        lru = sets.setdefault(block & mask, OrderedDict())
+        if block in lru:
+            lru.move_to_end(block)
+            continue
+        misses += 1
+        if distances[pos] == COLD:
+            compulsory += 1
+        elif distances[pos] <= size_lines:
+            conflict += 1
+        else:
+            capacity += 1
+        if len(lru) >= assoc:
+            lru.popitem(last=False)
+        lru[block] = None
+    return ConflictSplit(
+        size_lines=size_lines,
+        assoc=assoc,
+        line_size=profile.line_size,
+        total_refs=len(refs),
+        misses=misses,
+        compulsory=compulsory,
+        capacity=capacity,
+        conflict=conflict,
+    )
 
 
 # ----------------------------------------------------------------------

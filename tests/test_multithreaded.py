@@ -125,7 +125,7 @@ class TestExperimentModules:
             assert biased[i] <= lru[i] + 0.3
 
     def test_runner_registry_includes_extensions(self):
-        from repro.experiments.runner import EXPERIMENTS
+        from repro.harness.cells import VARIANTS
 
-        assert "sec56" in EXPERIMENTS
-        assert "assoc" in EXPERIMENTS
+        assert "sec56" in VARIANTS
+        assert "assoc" in VARIANTS

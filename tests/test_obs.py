@@ -643,21 +643,6 @@ class TestRunnerCLI:
 
 
 # ----------------------------------------------------------------------
-# Bench tracing
-# ----------------------------------------------------------------------
-class TestBenchTracing:
-    def test_single_cell_iteration_spans(self):
-        from repro.harness.bench import measure_single_cell
-
-        tracer = Tracer("bench")
-        measure_single_cell(2_000, 500, 0, repeats=2, tracer=tracer)
-        spans = tracer.to_dicts()
-        assert [s["name"] for s in spans] == ["bench.iteration"] * 2
-        assert [s["attrs"]["repeat"] for s in spans] == [1, 2]
-        assert all(s["attrs"]["seconds"] >= 0 for s in spans)
-
-
-# ----------------------------------------------------------------------
 # Schema drift: the validator and emitter enforce one contract
 # ----------------------------------------------------------------------
 class TestSchemaDrift:

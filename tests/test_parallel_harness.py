@@ -8,13 +8,15 @@ Covers the PR's acceptance properties:
 * worker processes are always reaped and closed: a 200-cell sweep leaves
   no children (zombie or live) behind and does not leak fds;
 * ``--jobs`` CLI semantics (default, validation, --no-isolate clash);
-* the bench harness emits a valid ``BENCH_sweep.json`` and its baseline
-  regression gate fires.
+* the ``single_node_service`` bench cell emits its artifact, each of its
+  committed limits fires, and the committed baseline carries the service
+  limits and a perfbench floor pair for every benchmark workload.
 """
 
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
@@ -63,11 +65,14 @@ class TestConfigValidation:
 
 
 class TestParallelEquivalence:
-    def run_sweep(self, tmp_path, sub, jobs, inject=None, resume=False):
+    def run_sweep(
+        self, tmp_path, sub, jobs, inject=None, resume=False,
+        cells=CELLS, params=TINY,
+    ):
         rd = RunDirectory(tmp_path / sub)
-        rd.prepare(TINY, resume=resume)
+        rd.prepare(params, resume=resume)
         report = run_cells(
-            CELLS, TINY, config(jobs=jobs), run_dir=rd, inject=inject,
+            cells, params, config(jobs=jobs), run_dir=rd, inject=inject,
             resume=resume,
         )
         return rd, report
@@ -84,6 +89,18 @@ class TestParallelEquivalence:
         assert statuses(rep1) == statuses(rep8)
         assert all(s == "OK" for s in statuses(rep1).values())
         assert artifact_bytes(rd1, CELLS) == artifact_bytes(rd8, CELLS)
+
+    def test_fig3sweep_jobs1_and_jobs2_byte_identical_artifacts(self, tmp_path):
+        # The whole Figure 3 grid: one cell per Section-5 benchmark.
+        cells = expand_cells(["fig3sweep"])
+        params = ExperimentParams(n_refs=1_200, warmup=200, seed=0)
+        grid = {"cells": cells, "params": params}
+        rd1, rep1 = self.run_sweep(tmp_path, "serial", 1, **grid)
+        rd2, rep2 = self.run_sweep(tmp_path, "parallel", 2, **grid)
+        assert len(cells) == 12
+        assert statuses(rep1) == statuses(rep2)
+        assert set(statuses(rep1).values()) == {"OK"}
+        assert artifact_bytes(rd1, cells) == artifact_bytes(rd2, cells)
 
     def test_equivalent_under_flaky_injection_and_resume(self, tmp_path):
         inject = FaultInjection("fig3.main", "flaky", times=1)
@@ -190,53 +207,65 @@ class TestCLIJobs:
         assert expand_cells(["fig3sweep"])
 
 
-class TestBenchHarness:
-    def test_single_cell_measurement_shape(self):
-        out = bench.measure_single_cell(refs=2_000, warmup=500, seed=0, repeats=1)
-        assert out["refs_per_sec"] > 0
-        assert out["bench"] == bench.SINGLE_CELL_BENCH
+ROOT = Path(__file__).resolve().parent.parent
 
-    def test_main_emits_artifact_and_gate_passes(self, tmp_path):
-        out = tmp_path / "BENCH_sweep.json"
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(
-            {"schema": 1, "single_cell": {"refs_per_sec": 1.0}}
-        ))
-        rc = bench.main([
-            "--refs", "2000", "--warmup", "500", "--skip-sweep",
-            "--out", str(out), "--check-against", str(baseline),
-        ])
+
+class TestBenchHarness:
+    """The single_node_service cell, shrunk to a few sessions."""
+
+    @pytest.fixture
+    def few_sessions(self, monkeypatch):
+        monkeypatch.setattr(bench, "SESSIONS", 16)
+        monkeypatch.setattr(bench, "REFS_PER_SESSION", 2_000)
+        monkeypatch.setattr(bench, "BATCH_SIZE", 500)
+
+    def baseline(self, tmp_path, **limits):
+        entry = {"min_refs_per_sec": 1.0, "sessions": 1, "max_answer_p99_ms": 1e9}
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"single_node_service": {**entry, **limits}}))
+        return str(path)
+
+    def test_main_emits_artifact_and_gate_passes(self, tmp_path, few_sessions):
+        out = tmp_path / "BENCH_service.json"
+        rc = bench.main(["--out", str(out), "--check-against", self.baseline(tmp_path)])
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["schema"] == bench.BENCH_SCHEMA
-        assert payload["single_cell"]["refs_per_sec"] > 0
-        assert "sweep" not in payload  # --skip-sweep
+        cell = payload["single_node_service"]
+        assert cell["sessions"] == cell["concurrency"] == 16
+        assert cell["refs_done"] == 16 * 2_000
+        assert cell["errors"] == 0 and cell["refs_per_sec"] > 0
+        assert 1 <= cell["peak_sessions"] <= 16
 
-    def test_regression_gate_fires(self, tmp_path):
-        out = tmp_path / "BENCH_sweep.json"
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(
-            {"schema": 1, "single_cell": {"refs_per_sec": 1e12}}
-        ))
-        rc = bench.main([
-            "--refs", "2000", "--warmup", "500", "--skip-sweep",
-            "--out", str(out), "--check-against", str(baseline),
-        ])
+    def test_regression_gate_fires(self, tmp_path, few_sessions, capsys):
+        baseline = self.baseline(tmp_path, min_refs_per_sec=1e12)
+        argv = ["--out", str(tmp_path / "out.json"), "--check-against", baseline]
+        rc = bench.main(argv)
         assert rc == 1
+        assert "throughput" in capsys.readouterr().err
 
-    def test_sweep_measures_and_cross_checks(self, tmp_path):
-        sweep = bench.measure_sweep(
-            refs=1_200, warmup=200, seed=0, jobs=2, scratch=tmp_path
-        )
-        assert sweep["serial"]["ok"] and sweep["parallel"]["ok"]
-        assert sweep["statuses_identical"] is True
-        assert sweep["artifacts_identical"] is True
-        assert sweep["serial"]["cells"] == sweep["parallel"]["cells"] == 12
+    def test_each_limit_fires_alone(self):
+        limits = {
+            "min_refs_per_sec": 100.0, "sessions": 1000, "max_answer_p99_ms": 500.0
+        }
+        good = {"refs_per_sec": 200.0, "peak_sessions": 1000, "answer_p99_ms": 100.0}
+        assert bench.check_service(good, limits) == []
+        for key, bad, word in (
+            ("refs_per_sec", 99.0, "throughput"),
+            ("peak_sessions", 999, "live session"),
+            ("answer_p99_ms", 501.0, "p99"),
+        ):
+            (problem,) = bench.check_service({**good, key: bad}, limits)
+            assert word in problem
 
     def test_committed_baseline_is_readable(self):
-        path = os.path.join(
-            os.path.dirname(__file__), "..", "benchmarks", "BENCH_baseline.json"
-        )
-        payload = json.loads(open(path).read())
-        assert payload["schema"] == bench.BENCH_SCHEMA
-        assert payload["single_cell"]["refs_per_sec"] > 0
+        path = ROOT / "benchmarks" / "BENCH_baseline.json"
+        limits = bench.read_limits(str(path))
+        assert limits["sessions"] == bench.SESSIONS == 1000
+        # One floor pair per benchmark workload, read by CI's bench job.
+        floors = json.loads(path.read_text())["perfbench"]
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        assert set(floors) == {w["name"] for w in spec["workloads"]}
+        for pair in floors.values():
+            assert set(pair) == {"refs_per_s", "aux_refs_per_s"}
+            assert all(floor > 0 for floor in pair.values())

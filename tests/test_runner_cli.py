@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.experiments.runner import EXPERIMENTS, main, run_experiments
+from repro.experiments.runner import main
 from repro.experiments.base import ExperimentParams
+from repro.harness.cells import VARIANTS, expand_cells, run_cell
 
 
 TINY = ExperimentParams(n_refs=6_000, warmup=2_000, suite=["gcc"])
@@ -14,7 +15,7 @@ class TestRegistry:
         # Nine paper tables/figures, the two measured §5.6 extensions,
         # the per-benchmark sharded cut of the Figure 3 grid, and the
         # two miss-ratio-curve subsystem figures.
-        assert set(EXPERIMENTS) == {
+        assert set(VARIANTS) == {
             "fig1", "fig2", "fig3", "table1", "fig4",
             "fig5", "sec54", "fig6", "fig7",
             "sec56", "assoc", "fig3sweep",
@@ -22,17 +23,13 @@ class TestRegistry:
         }
 
     def test_run_experiments_by_name(self):
-        results = run_experiments(["table1"], TINY)
+        results = [run_cell(spec, TINY) for spec in expand_cells(["table1"])]
         assert len(results) == 1
         assert results[0].experiment_id == "table1"
 
     def test_multi_result_experiments(self):
-        results = run_experiments(["fig6"], TINY)
+        results = [run_cell(spec, TINY) for spec in expand_cells(["fig6"])]
         assert [r.experiment_id for r in results] == ["fig6-8", "fig6-16"]
-
-    def test_unknown_experiment_exits(self):
-        with pytest.raises(SystemExit, match="unknown experiment"):
-            run_experiments(["fig99"], TINY)
 
 
 class TestCLI:

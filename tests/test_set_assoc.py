@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import FIFOReplacement
 from repro.cache.set_assoc import SetAssociativeCache
 
 
@@ -195,18 +193,6 @@ class TestIntrospection:
         assert c.set_conflict_bit(0x1000, True)
         assert c.peek_line(0x1000).conflict_bit
         assert not c.set_conflict_bit(0x9000, True)
-
-    def test_fifo_policy_is_used(self):
-        g = CacheGeometry(size=256, assoc=2, line_size=64)
-        c = SetAssociativeCache(g, policy=FIFOReplacement())
-        s = g.size
-        a, b, d = 0x1000, 0x1000 + s, 0x1000 + 2 * s
-        c.access(a)
-        c.access(b)
-        c.access(a)  # touch a; FIFO ignores it
-        c.access(d)  # evicts a (oldest fill)
-        assert not c.probe(a)
-        assert c.probe(b)
 
 
 class TestCapacityBehaviour:

@@ -30,7 +30,7 @@ from repro.obs.validate import main as validate_main
 from repro.obs.validate import reconcile_events, validate_lines
 from repro.system.config import MachineConfig, PAPER_MACHINE, SLOW_BUS_MACHINE
 from repro.system.policies import AssistConfig, BASELINE, ExclusionMode
-from repro.system.simulator import ENGINE_ENV_VAR, simulate
+from repro.system.simulator import simulate
 from repro.system.vector import (
     simulate_vector,
     vector_ineligibility,
@@ -96,14 +96,18 @@ def undriven_by_design(path: str) -> bool:
 
 #: References as (block, is_load, gap) so the random traces exercise the
 #: writeback algebra and the issue-gap timing replay, not just hits.
-sim_refs = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=1023),
-        st.booleans(),
-        st.integers(min_value=0, max_value=7),
-    ),
-    min_size=1,
-    max_size=400,
+sim_ref = st.tuples(
+    st.integers(min_value=0, max_value=1023),
+    st.booleans(),
+    st.integers(min_value=0, max_value=7),
+)
+
+#: Short traces, and long ones: a list drawn over one wide size range is
+#: nearly always short, so without the second branch a counter that
+#: drifts only after ~50 measured references is never reached.
+sim_refs = st.one_of(
+    st.lists(sim_ref, min_size=1, max_size=400),
+    st.lists(sim_ref, min_size=300, max_size=800),
 )
 
 
@@ -301,22 +305,6 @@ class TestEngineDispatch:
         auto = simulate(trace, policy, warmup=100, engine="auto")
         scalar = simulate(trace, policy, warmup=100, engine="scalar")
         assert canon(auto) == canon(scalar)
-
-    def test_env_var_steers_auto_but_not_explicit(self, monkeypatch):
-        trace = build("swim", 2_000, 0)
-        monkeypatch.setenv(ENGINE_ENV_VAR, "scalar")
-        via_env = simulate(trace, BASELINE, warmup=100)
-        scalar = simulate(trace, BASELINE, warmup=100, engine="scalar")
-        assert canon(via_env) == canon(scalar)
-        # Explicit engine= wins over the environment.
-        monkeypatch.setenv(ENGINE_ENV_VAR, "vector")
-        explicit = simulate(trace, BASELINE, warmup=100, engine="scalar")
-        assert canon(explicit) == canon(scalar)
-
-    def test_env_var_validated(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "turbo")
-        with pytest.raises(ValueError, match="turbo"):
-            simulate(build("gcc", 100, 0), BASELINE)
 
 
 class TestInstrumentedCampaign:
