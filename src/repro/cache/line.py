@@ -7,9 +7,11 @@ A :class:`CacheLine` carries the metadata the paper's mechanisms need:
   cache line that remembers whether the line originally entered the cache
   on a conflict miss.  The conflict bit is what makes the *in-conflict*,
   *and-conflict* and *or-conflict* filters possible, and it drives the
-  pseudo-associative replacement bias of Section 5.4,
-* a free-form ``role`` tag used by the Adaptive Miss Buffer (Section 5.5),
-  which must "remember how a cache line entered the buffer".
+  pseudo-associative replacement bias of Section 5.4.
+
+:class:`BufferRole` lives here too: the Adaptive Miss Buffer (Section
+5.5) must "remember how a cache line entered the buffer", and its
+entries (:class:`~repro.buffers.assist.BufferEntry`) carry one.
 """
 
 from __future__ import annotations
@@ -49,22 +51,15 @@ class CacheLine:
     conflict_bit:
         The paper's per-line conflict bit: True iff the line entered the
         cache on a miss the MCT classified as a conflict miss.
-    role:
-        For assist buffers only — how the line entered the buffer.
     last_touch:
         Logical timestamp of the most recent access (LRU bookkeeping).
-    secondary:
-        For the pseudo-associative cache — True when the line currently
-        lives in its rehash (secondary) location.
     """
 
     tag: int = 0
     valid: bool = False
     dirty: bool = False
     conflict_bit: bool = False
-    role: BufferRole | None = None
     last_touch: int = -1
-    secondary: bool = False
 
     def invalidate(self) -> None:
         """Reset to the empty state (all metadata cleared)."""
@@ -72,27 +67,17 @@ class CacheLine:
         self.valid = False
         self.dirty = False
         self.conflict_bit = False
-        self.role = None
         self.last_touch = -1
-        self.secondary = False
 
     def fill(
-        self,
-        tag: int,
-        now: int,
-        *,
-        conflict_bit: bool = False,
-        role: BufferRole | None = None,
-        dirty: bool = False,
+        self, tag: int, now: int, *, conflict_bit: bool = False, dirty: bool = False
     ) -> None:
         """Install a new line, replacing whatever was here."""
         self.tag = tag
         self.valid = True
         self.dirty = dirty
         self.conflict_bit = conflict_bit
-        self.role = role
         self.last_touch = now
-        self.secondary = False
 
     def touch(self, now: int) -> None:
         """Record an access for LRU purposes."""
@@ -101,11 +86,7 @@ class CacheLine:
     def snapshot(self) -> "EvictedLine":
         """Freeze the line's identity for post-eviction processing."""
         return EvictedLine(
-            tag=self.tag,
-            dirty=self.dirty,
-            conflict_bit=self.conflict_bit,
-            role=self.role,
-            secondary=self.secondary,
+            tag=self.tag, dirty=self.dirty, conflict_bit=self.conflict_bit
         )
 
 
@@ -122,5 +103,3 @@ class EvictedLine:
     tag: int
     dirty: bool = False
     conflict_bit: bool = False
-    role: BufferRole | None = None
-    secondary: bool = False

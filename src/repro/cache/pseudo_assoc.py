@@ -61,11 +61,13 @@ class PacHit(Enum):
 
 @dataclass(frozen=True)
 class PacResult:
-    """Outcome of one pseudo-associative access."""
+    """Outcome of one pseudo-associative access.  On a miss,
+    ``conflict_bit`` is the primary slot's MCT verdict on the new line."""
 
     kind: PacHit
     swapped: bool = False
     evicted_block: Optional[int] = None
+    conflict_bit: bool = False
 
 
 class PseudoAssociativeCache:
@@ -131,15 +133,14 @@ class PseudoAssociativeCache:
             s_line.touch(self._now)
             self.stats.hits += 1
             self.secondary_hits += 1
-            self._swap(pi, si)
+            self._slots[pi], self._slots[si] = s_line, p_line
             return PacResult(PacHit.SECONDARY, swapped=True)
 
         self.stats.misses += 1
-        evicted = self._fill_miss(block, pi, si)
-        return PacResult(PacHit.MISS, evicted_block=evicted)
+        return self._fill_miss(block, pi, si)
 
     # ------------------------------------------------------------------
-    def _fill_miss(self, block: int, pi: int, si: int) -> Optional[int]:
+    def _fill_miss(self, block: int, pi: int, si: int) -> PacResult:
         """Install ``block`` at its primary slot, evicting per variant."""
         p_line, s_line = self._slots[pi], self._slots[si]
 
@@ -168,14 +169,15 @@ class PseudoAssociativeCache:
             # line must live at its primary slot, so the current primary
             # occupant (the survivor) moves to the secondary slot.
             self._slots[si] = self._slots[pi]
-            self._slots[si].secondary = True
             self._slots[pi] = victim_line  # reuse the evicted slot object
             self._slots[pi].invalidate()
 
         new_line = self._slots[pi]
         new_line.fill(block, self._now, conflict_bit=conflict_bit)
         self.stats.fills += 1
-        return evicted_block
+        return PacResult(
+            PacHit.MISS, evicted_block=evicted_block, conflict_bit=conflict_bit
+        )
 
     def _choose_victim(self, pi: int, si: int) -> int:
         p_line, s_line = self._slots[pi], self._slots[si]
@@ -192,11 +194,6 @@ class PseudoAssociativeCache:
                 return pi
             # Both or neither marked: fall through to LRU, bits untouched.
         return pi if p_line.last_touch <= s_line.last_touch else si
-
-    def _swap(self, pi: int, si: int) -> None:
-        self._slots[pi], self._slots[si] = self._slots[si], self._slots[pi]
-        self._slots[pi].secondary = False
-        self._slots[si].secondary = self._slots[si].valid
 
     # ------------------------------------------------------------------
     def probe(self, addr: int) -> PacHit:

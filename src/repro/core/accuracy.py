@@ -30,7 +30,7 @@ import numpy as np
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats, ClassificationStats
 from repro.mrc.stack import COLD, stack_distances
-from repro.obs.heartbeat import sim_ticker
+from repro.system.simulator import Beat, MeasuredWindow
 from repro.system.vector import l1_pass
 
 
@@ -135,14 +135,12 @@ def measure_accuracy(
         addresses = list(addresses)
     blocks = np.asarray(addresses, dtype=np.int64) >> geometry.offset_bits
     n = int(len(blocks))
-    ticker = sim_ticker(
+    window = MeasuredWindow(
         bench="accuracy",
         policy=f"mct[{'full' if tag_bits is None else tag_bits}b]",
         refs=n,
         warmup=0,
     )
-    if ticker is not None:
-        ticker.begin()
 
     hit, evict, _, predicted = l1_pass(blocks, None, geometry, tag_bits)
     distances = stack_distances(blocks)
@@ -160,21 +158,24 @@ def measure_accuracy(
     ))
     result = _result_at(geometry, tag_bits, n, np.count_nonzero(rows, axis=1))
 
-    if ticker is not None:
-        if ticker.every > 0:
-            prefix = np.cumsum(rows, axis=1, dtype=np.int64)
-            for refs in range(ticker.every, n + 1, ticker.every):
-                # Accuracy-so-far over the references seen to this point.
-                so_far = _result_at(geometry, tag_bits, refs, prefix[:, refs - 1])
-                ticker.tick(
-                    refs,
-                    _accuracy_counters(so_far),
-                    overall_accuracy=round(so_far.overall_accuracy, 4),
-                    conflict_accuracy=round(so_far.conflict_accuracy, 4),
-                    capacity_accuracy=round(so_far.capacity_accuracy, 4),
-                    miss_rate=round(so_far.miss_rate, 4),
-                )
-        ticker.finish(n, _accuracy_counters(result))
+    # Running counts, only when heartbeats read them.
+    prefix = (
+        np.cumsum(rows, axis=1, dtype=np.int64) if window.heartbeat_every else None
+    )
+
+    def beat(refs: int) -> Beat:
+        # Accuracy-so-far over the references seen to this point.
+        assert prefix is not None
+        so_far = _result_at(geometry, tag_bits, refs, prefix[:, refs - 1])
+        return _accuracy_counters(so_far), {
+            "overall_accuracy": round(so_far.overall_accuracy, 4),
+            "conflict_accuracy": round(so_far.conflict_accuracy, 4),
+            "capacity_accuracy": round(so_far.capacity_accuracy, 4),
+            "miss_rate": round(so_far.miss_rate, 4),
+        }
+
+    window.walk(beat)
+    window.close(_accuracy_counters(result))
     # Harness debug flag: validate that misses partition exactly into
     # conflict + capacity (compulsory inside capacity) before the numbers
     # can reach any table.

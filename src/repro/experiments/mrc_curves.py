@@ -18,7 +18,7 @@ Chart hint: ``repro-experiments mrc --chart "conflict share %"``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.mrc.curve import MissRatioCurve, curve_from_profile, default_size_lad
 from repro.mrc.decompose import ConflictSplit, conflict_decomposition
 from repro.mrc.sampling import sampled_curve
 from repro.mrc.stack import compute_profile
-from repro.obs.mrc_events import mrc_ticker
+from repro.obs.mrc_events import MrcTicker, mrc_ticker
 from repro.workloads.spec_analogs import build
 
 #: Decomposition geometry: the paper's direct-mapped configuration.
@@ -44,17 +44,20 @@ DECOMPOSE_ASSOC = 1
 SAMPLE_MAX_BLOCKS = 1024
 
 
-def _emit_curve(bench: str, mode: str, curve: MissRatioCurve) -> None:
-    """Report one finished curve through the obs layer (if active)."""
-    ticker = mrc_ticker(
-        bench=bench,
-        mode=mode,
-        refs=curve.total_refs,
-        sizes_lines=curve.sizes_lines,
-    )
+def _start_curve(
+    bench: str, mode: str, refs: int, sizes: Sequence[int]
+) -> Optional[MrcTicker]:
+    """Open one curve's pass in the obs layer (if active), before its work."""
+    ticker = mrc_ticker(bench=bench, mode=mode, refs=refs, sizes_lines=sizes)
+    if ticker is not None:
+        ticker.begin()
+    return ticker
+
+
+def _emit_curve(ticker: Optional[MrcTicker], curve: MissRatioCurve) -> None:
+    """Report one finished curve's points and close its pass."""
     if ticker is None:
         return
-    ticker.begin()
     ratios = curve.miss_ratios()
     for i, size in enumerate(curve.sizes_lines):
         ticker.point(size, curve.misses[i], ratios[i])
@@ -93,9 +96,10 @@ def run_exact(params: ExperimentParams = DEFAULT_PARAMS) -> ExperimentResult:
     sizes = default_size_ladder()
     per_size: Dict[int, List[Tuple[float, ConflictSplit]]] = {s: [] for s in sizes}
     for name, addresses in traces.items():
+        ticker = _start_curve(name, "exact", len(addresses), sizes)
         profile = compute_profile(addresses)
         curve = curve_from_profile(profile, sizes)
-        _emit_curve(name, "exact", curve)
+        _emit_curve(ticker, curve)
         splits = conflict_decomposition(
             addresses,
             assoc=DECOMPOSE_ASSOC,
@@ -160,13 +164,14 @@ def run_sampled(params: ExperimentParams = DEFAULT_PARAMS) -> ExperimentResult:
     err_max = [0.0] * len(sizes)
     for name, addresses in _suite_traces(params, suite).items():
         curve = curve_from_profile(compute_profile(addresses), sizes)
+        ticker = _start_curve(name, "sampled", len(addresses), sizes)
         sample = sampled_curve(
             addresses,
             sizes_lines=sizes,
             max_blocks=SAMPLE_MAX_BLOCKS,
             seed=params.seed,
         )
-        _emit_curve(name, "sampled", sample.curve)
+        _emit_curve(ticker, sample.curve)
         exact_r = curve.miss_ratios()
         sampled_r = sample.curve.miss_ratios()
         for i in range(len(sizes)):

@@ -8,7 +8,9 @@ count the conflict misses of the shared cache.
 :class:`CoScheduleAdvisor` measures every pairing of a set of jobs on a
 shared L1 (reference-interleaved, the worst case for cache sharing),
 records each pairing's conflict-miss rate, and greedily picks the pairing
-set that minimises total conflict misses.
+set that minimises total conflict misses.  A pairing is priced by the
+simulator's shared L1 + MCT pass (:func:`repro.system.vector.l1_pass`):
+the MCT classifies each miss before its fill, as the hardware would.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.cache.geometry import CacheGeometry
-from repro.cache.set_assoc import SetAssociativeCache
-from repro.core.mct import MissClassificationTable
+from repro.system.vector import l1_pass
 from repro.workloads.trace import Trace, merge_round_robin
 
 
@@ -58,20 +61,14 @@ class CoScheduleAdvisor:
     def measure_pair(self, a: Trace, b: Trace) -> PairingReport:
         """Run two jobs interleaved on the shared cache and classify."""
         merged = merge_round_robin([a, b])
-        mct = MissClassificationTable(self.geometry)
-        cache = SetAssociativeCache(self.geometry, on_evict=mct.on_evict)
-        conflicts = 0
-        for addr in merged.addresses:
-            addr = int(addr)
-            out = cache.lookup(addr)
-            if not out.hit:
-                if mct.classify_is_conflict(addr):
-                    conflicts += 1
-                cache.fill(addr)
-        n = cache.stats.accesses
+        blocks = merged.addresses >> self.geometry.offset_bits
+        hit, _, _, conflict = l1_pass(blocks, None, self.geometry, None)
+        n = len(blocks)
+        misses = n - int(np.count_nonzero(hit))
+        conflicts = int(np.count_nonzero(conflict))
         report = PairingReport(
             jobs=(a.name, b.name),
-            miss_rate=cache.stats.miss_rate,
+            miss_rate=100.0 * misses / n if n else 0.0,
             conflict_miss_rate=100.0 * conflicts / n if n else 0.0,
         )
         self._reports[self._key(a.name, b.name)] = report

@@ -59,8 +59,9 @@ def active_plan() -> Optional[FaultPlan]:
 def sim_tick_every() -> int:
     """Chunk cadence for the ``sim_tick`` site; 0 when nothing is armed.
 
-    Simulation drivers call this once per :func:`simulate` — never per
-    reference — and keep their unchunked hot loop when it returns 0.
+    :class:`repro.system.simulator.MeasuredWindow` reads this once per
+    simulation — never per reference — and drivers keep their unchunked
+    hot loop when it returns 0.
     """
     plan = _active_plan
     if plan is None:

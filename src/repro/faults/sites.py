@@ -13,8 +13,9 @@ check when no plan is armed.
 ``report_finalize``   ``report.json`` written at end of run
 ``event_append``      one ``events.jsonl`` line appended
 ``worker_spawn``      cell worker process about to start
-``sim_tick``          inside a simulation's measured loop, every
-                      :data:`SIM_TICK_EVERY` references
+``sim_tick``          inside every simulation's measured window (the
+                      two engines, PAC, shared-cache and accuracy
+                      runs), every :data:`SIM_TICK_EVERY` references
 ``serve_accept``      classification service: connection accepted,
                       before the session handshake
 ``serve_batch``       classification service: one address batch about

@@ -257,22 +257,31 @@ def set_lru_flags(
       segment (cold misses before it) is ``>= assoc`` — matching an LRU
       victim picker that prefers invalid ways.
 
+    At ``assoc == 1`` neither needs a stack pass: a hit repeats the
+    segment's previous block, and every miss but the segment's first evicts.
+
     Shared by the simulation engine's L1 and L2 passes
-    (:mod:`repro.system.vector`); the caller scatters the flags back to
+    (:mod:`repro.system.vector`) and the conflict decomposition
+    (:mod:`repro.mrc.decompose`); the caller scatters the flags back to
     trace order with the inverse of its sorting permutation.
     """
     k = int(len(blocks))
     if k == 0:
         empty = np.zeros(0, dtype=bool)
         return empty, empty.copy()
-    distances = stack_distances(blocks)
-    hit = (distances != COLD) & (distances <= assoc)
-
-    cold = (distances == COLD).astype(np.int64)
-    cold_before = np.cumsum(cold) - cold
     seg_start = np.empty(k, dtype=bool)
     seg_start[0] = True
     np.not_equal(sets[1:], sets[:-1], out=seg_start[1:])
+    if assoc == 1:
+        # A block has one set, so equal neighbours share a segment.
+        hit = np.zeros(k, dtype=bool)
+        np.equal(blocks[1:], blocks[:-1], out=hit[1:])
+        return hit, ~hit & ~seg_start
+
+    distances = stack_distances(blocks)
+    hit = (distances != COLD) & (distances <= assoc)
+    cold = (distances == COLD).astype(np.int64)
+    cold_before = np.cumsum(cold) - cold
     positions = np.arange(k, dtype=np.int64)
     seg_first = np.maximum.accumulate(np.where(seg_start, positions, 0))
     distinct_before = cold_before - cold_before[seg_first]

@@ -1,9 +1,9 @@
 """Per-simulation progress telemetry: the :class:`SimTicker`.
 
-:func:`sim_ticker` is the single hook simulation drivers call.  When the
-process has no active event log it returns ``None`` immediately — the
-entire cost of disabled observability is that one check per simulation,
-leaving the per-reference hot loop untouched.
+:func:`sim_ticker` is the single hook every simulation reaches, through
+:class:`repro.system.simulator.MeasuredWindow`.  With no active event
+log it returns ``None`` immediately — the entire cost of disabled
+observability is that one check per simulation.
 
 With metrics active, the driver runs its measured loop in chunks of
 ``heartbeat_every`` references and calls :meth:`SimTicker.tick` at each

@@ -29,7 +29,7 @@ Per-access flow (paper Section 3-5):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.buffers.assist import AssistBuffer, BufferEntry
 from repro.buffers.history import MissHistoryTable
@@ -139,29 +139,6 @@ class MemorySystem:
             for entry in self.buffer._entries.values():
                 entry.ready_time = 0.0
         self.timing.reset_measurement()
-
-    def heartbeat_snapshot(self) -> Dict[str, float]:
-        """Running-rate fields for observability heartbeats.
-
-        Cheap derived rates over the live counters — called once per
-        heartbeat interval by :func:`repro.system.simulator.simulate`,
-        never from the per-reference path.  ``mct_conflict_share`` is the
-        percentage of classified misses the MCT has called conflict so
-        far (the online stand-in for accuracy, which needs the oracle of
-        :mod:`repro.core.accuracy`).
-        """
-        stats = self.stats
-        classified = stats.conflict_misses_predicted + stats.capacity_misses_predicted
-        return {
-            "l1_hit_rate": round(stats.l1.hit_rate, 4),
-            "buffer_hit_rate": round(stats.buffer.hit_rate_of_probes, 4),
-            "total_hit_rate": round(stats.total_hit_rate, 4),
-            "mct_conflict_share": round(
-                100.0 * stats.conflict_misses_predicted / classified, 4
-            )
-            if classified
-            else 0.0,
-        }
 
     def finish(self) -> SystemStats:
         """Drain the pipeline and collect final statistics.

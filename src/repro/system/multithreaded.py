@@ -10,7 +10,9 @@ multithreaded caches."
 
 This module runs several workload "threads" through ONE shared
 :class:`~repro.system.memory_system.MemorySystem` (fine-grain round-robin
-issue, SMT-style) and reports per-thread statistics next to the shared
+issue, SMT-style: :func:`~repro.workloads.trace.merge_round_robin`
+interleaves the traces, and the simulator's one driver measures the
+merged stream) and reports per-thread statistics next to the shared
 totals, plus the *sharing penalty* — each thread's shared-mode miss rate
 against its solo run on the same machine.
 """
@@ -18,14 +20,15 @@ against its solo run on the same machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 from typing import List, Sequence
 
 from repro.cache.stats import Counters, SystemStats
 from repro.system.config import MachineConfig, PAPER_MACHINE
 from repro.system.memory_system import MemorySystem
 from repro.system.policies import AssistConfig, BASELINE
-from repro.system.simulator import simulate
-from repro.workloads.trace import Trace
+from repro.system.simulator import drive, simulate
+from repro.workloads.trace import Trace, merge_round_robin
 
 
 @dataclass
@@ -66,6 +69,38 @@ class SharedRunResult:
         return 100.0 * conf / acc if acc else 0.0
 
 
+class _SharedSystem(MemorySystem):
+    """Charges merged reference ``j`` to thread ``j % k``, the order
+    :func:`~repro.workloads.trace.merge_round_robin` interleaves in."""
+
+    def __init__(
+        self, policy: AssistConfig, machine: MachineConfig, threads: List[ThreadStats]
+    ) -> None:
+        super().__init__(policy, machine)
+        self.threads = threads
+        self._turn = cycle(threads)
+
+    def access(self, addr: int, *, is_load: bool = True, gap: int = 3) -> None:
+        stats = self.stats
+        hits = stats.l1.hits
+        buffer_hits = stats.buffer.hits
+        conflicts = stats.conflict_misses_predicted
+        super().access(addr, is_load=is_load, gap=gap)
+        thread = next(self._turn)
+        thread.accesses += 1
+        if stats.l1.hits > hits:
+            thread.l1_hits += 1
+            return
+        thread.misses += 1
+        thread.buffer_hits += stats.buffer.hits - buffer_hits
+        thread.conflict_misses += stats.conflict_misses_predicted - conflicts
+
+    def reset_measurement(self) -> None:
+        super().reset_measurement()
+        for thread in self.threads:
+            thread.reset()
+
+
 def simulate_shared(
     traces: Sequence[Trace],
     policy: AssistConfig = BASELINE,
@@ -78,7 +113,9 @@ def simulate_shared(
     Round-robin at reference granularity is SMT's fine-grain interleaving
     — the worst case for cross-thread cache conflicts.  Thread traces are
     truncated to the shortest; ``warmup_fraction`` of the interleaved
-    stream warms the system before measurement starts.
+    stream warms the system before measurement starts, and must leave
+    at least one reference to measure, as in
+    :func:`~repro.system.simulator.simulate`.
     """
     if not traces:
         raise ValueError("need at least one thread")
@@ -86,51 +123,12 @@ def simulate_shared(
         raise ValueError("thread (trace) names must be unique")
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
-
-    n = min(len(t) for t in traces)
-    k = len(traces)
-    system = MemorySystem(policy, machine)
+    merged = merge_round_robin(list(traces), name="+".join(t.name for t in traces))
     threads = [ThreadStats(name=t.name) for t in traces]
-    warm_until = int(n * k * warmup_fraction)
-
-    # Hoisted once, as in simulate(): numpy indexing boxes a fresh scalar
-    # per reference, and the stats attribute chains would otherwise be
-    # re-resolved on every access (RPR040).  The stats *objects* are
-    # stable across the run — only their counters mutate — so locals are
-    # safe to cache outside the loop.
-    access = system.access
-    per_thread = [
-        (t.addresses.tolist(), t.is_load.tolist(), t.gaps.tolist()) for t in traces
-    ]
-    stats = system.stats
-    l1_stats = stats.l1
-    buffer_stats = stats.buffer
-
-    step = 0
-    for i in range(n):
-        for tid in range(k):
-            if step == warm_until and warm_until:
-                system.reset_measurement()
-                for t in threads:
-                    t.reset()
-            step += 1
-            addresses, is_load, gaps = per_thread[tid]
-            before_hits = l1_stats.hits
-            before_buffer = buffer_stats.hits
-            before_conf = stats.conflict_misses_predicted
-            access(addresses[i], is_load=is_load[i], gap=gaps[i])
-            t = threads[tid]
-            t.accesses += 1
-            if l1_stats.hits > before_hits:
-                t.l1_hits += 1
-            else:
-                t.misses += 1
-                if buffer_stats.hits > before_buffer:
-                    t.buffer_hits += 1
-                if stats.conflict_misses_predicted > before_conf:
-                    t.conflict_misses += 1
-
-    return SharedRunResult(threads=threads, combined=system.finish())
+    system = _SharedSystem(policy, machine, threads)
+    warmup = int(len(merged) * warmup_fraction)
+    combined = drive(system, merged, policy=policy.name, warmup=warmup)
+    return SharedRunResult(threads=threads, combined=combined)
 
 
 @dataclass(frozen=True)

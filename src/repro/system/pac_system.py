@@ -8,13 +8,11 @@ line swap; misses go to the shared L2/memory model.
 
 from __future__ import annotations
 
-from itertools import islice
-
 from repro.cache.pseudo_assoc import PacHit, PacVariant, PseudoAssociativeCache
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import SystemStats
 from repro.system.config import MachineConfig, PAPER_MACHINE
-from repro.system.simulator import check_warmup
+from repro.system.simulator import drive
 from repro.system.timing import TimingModel
 from repro.workloads.trace import Trace
 
@@ -55,7 +53,11 @@ class PacMemorySystem:
                 self.timing.clock + t.l1_latency + SECONDARY_HIT_PENALTY
             )
             return
-        # Miss: fetch through L2/memory.
+        # Miss: classified by its primary slot's MCT, fetched through L2/memory.
+        if outcome.conflict_bit:
+            self.stats.conflict_misses_predicted += 1
+        else:
+            self.stats.capacity_misses_predicted += 1
         l2_outcome = self.l2.access(addr)
         latency = float(t.l2_latency if l2_outcome.hit else t.memory_latency)
         if not l2_outcome.hit:
@@ -71,7 +73,11 @@ class PacMemorySystem:
         self.timing.reset_measurement()
 
     def finish(self) -> SystemStats:
+        """Drain the pipeline; validate the statistics as ``MemorySystem`` does."""
         self.stats.timing = self.timing.finish()
+        from repro.harness.invariants import maybe_check_system
+
+        maybe_check_system(self.stats, issue_rate=self.machine.timing.issue_rate)
         return self.stats
 
 
@@ -87,18 +93,5 @@ def simulate_pac(
     ``warmup`` must leave at least one reference to measure, as in
     :func:`~repro.system.simulator.simulate`.
     """
-    check_warmup(warmup, len(trace))
     system = PacMemorySystem(variant, machine)
-    access = system.access
-    # Native lists once, as in repro.system.simulator.simulate(): indexing
-    # a numpy array boxes a fresh scalar per element in the hot loop.  A
-    # single shared zip iterator serves both loops — islice consumes the
-    # warmup in place instead of re-copying each list into slices.
-    refs = zip(trace.addresses.tolist(), trace.is_load.tolist(), trace.gaps.tolist())
-    for addr, load, gap in islice(refs, warmup):
-        access(addr, is_load=load, gap=gap)
-    if warmup:
-        system.reset_measurement()
-    for addr, load, gap in refs:
-        access(addr, is_load=load, gap=gap)
-    return system.finish()
+    return drive(system, trace, policy=f"pac[{variant.value}]", warmup=warmup)

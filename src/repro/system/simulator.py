@@ -11,20 +11,34 @@ Two engines produce byte-identical statistics:
   bufferless policies it supports.
 
 ``engine="auto"`` (the default) picks the vector engine whenever the
-run is eligible.  Also provides the speedup helpers the figures are
-built from (IPC relative to a baseline policy on the same trace) and the
-geometric/arithmetic means the paper averages with.
+run is eligible.  Every simulation's measured window lives here:
+:func:`drive` runs it reference by reference (the scalar engine, the
+PAC and shared-cache runs), and the numpy passes of the vector engine
+and :func:`~repro.core.accuracy.measure_accuracy` walk the same
+:class:`MeasuredWindow` afterwards.  Also provides the speedup helpers
+the figures are built from (IPC relative to a baseline policy on the
+same trace) and the geometric/arithmetic means the paper averages with.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 from repro import faults
 from repro.cache.stats import SystemStats
 from repro.obs import events as obs_events
-from repro.obs.heartbeat import SimTicker, sim_ticker
+from repro.obs.heartbeat import sim_ticker
 from repro.system.config import MachineConfig, PAPER_MACHINE
 from repro.system.memory_system import MemorySystem
 from repro.system.policies import AssistConfig
@@ -32,8 +46,8 @@ from repro.workloads.trace import Trace
 
 _ENGINES = ("auto", "scalar", "vector")
 
-#: One (address, is_load, gap) triple per reference.
-_Ref = Tuple[int, bool, int]
+#: A heartbeat's payload: the counter snapshot, then the running rates.
+Beat = Tuple[Mapping[str, object], Mapping[str, object]]
 
 
 def check_warmup(warmup: int, refs: int) -> None:
@@ -103,8 +117,26 @@ def simulate(
                 policy=policy.name,
                 reason=reason,
             )
-
     system = MemorySystem(policy, machine)
+    return drive(system, trace, policy=policy.name, warmup=warmup)
+
+
+class Simulated(Protocol):
+    """What :func:`drive` needs of a memory system."""
+
+    stats: SystemStats
+
+    def access(self, addr: int, *, is_load: bool = ..., gap: int = ...) -> None: ...
+
+    def reset_measurement(self) -> None: ...
+
+    def finish(self) -> SystemStats: ...
+
+
+def drive(system: Simulated, trace: Trace, *, policy: str, warmup: int) -> SystemStats:
+    """Warm ``system`` on ``warmup`` references of ``trace``, measure the
+    rest; ``policy`` names the run in its ``sim_start`` event."""
+    check_warmup(warmup, len(trace))
     access = system.access
     # Convert the trace's numpy arrays to native lists once: indexing a
     # numpy array boxes a fresh scalar object per element, which costs
@@ -112,26 +144,58 @@ def simulate(
     # zip iterator is then shared by the warmup and measured loops —
     # islice() consumes it in place, so neither loop copies the lists
     # again (slicing them per loop used to triple peak trace memory).
-    refs: Iterator[_Ref] = zip(
+    refs: Iterator[Tuple[int, bool, int]] = zip(
         trace.addresses.tolist(), trace.is_load.tolist(), trace.gaps.tolist()
     )
     for addr, load, gap in islice(refs, warmup):
         access(addr, is_load=load, gap=gap)
     if warmup:
         system.reset_measurement()
-    ticker = sim_ticker(
-        bench=trace.name, policy=policy.name, refs=len(trace), warmup=warmup
+    window = MeasuredWindow(
+        bench=trace.name, policy=policy, refs=len(trace), warmup=warmup
     )
-    # Consulted once per simulate(), never per reference: 0 unless a
-    # fault plan arming the sim_tick site is active in this process.
-    tick_every = faults.sim_tick_every()
-    if ticker is None and tick_every == 0:
-        # Metrics disabled (the default): the measured loop is exactly
-        # the warmup loop — no per-chunk bookkeeping, no overhead.
+    if not window.watched:
+        # Metrics and faults off (the default): the measured loop is
+        # exactly the warmup loop — no per-chunk bookkeeping, no overhead.
         for addr, load, gap in refs:
             access(addr, is_load=load, gap=gap)
         return system.finish()
-    return _measure(system, refs, len(trace) - warmup, ticker, tick_every)
+
+    def advance(count: int) -> None:
+        for addr, load, gap in islice(refs, count):
+            access(addr, is_load=load, gap=gap)
+
+    window.walk(lambda _: system_beat(system.stats), advance)
+    stats = system.finish()
+    window.close(stats.as_dict())
+    return stats
+
+
+def heartbeat_fields(stats: SystemStats) -> Dict[str, float]:
+    """Running-rate fields of a simulation's ``heartbeat`` event.
+
+    Cheap derived rates over the counters, computed once per heartbeat
+    and never per reference.  ``mct_conflict_share`` is the percentage
+    of classified misses the MCT has called conflict so far (the online
+    stand-in for accuracy, which needs the oracle of
+    :mod:`repro.core.accuracy`).
+    """
+    classified = stats.conflict_misses_predicted + stats.capacity_misses_predicted
+    return {
+        "l1_hit_rate": round(stats.l1.hit_rate, 4),
+        "buffer_hit_rate": round(stats.buffer.hit_rate_of_probes, 4),
+        "total_hit_rate": round(stats.total_hit_rate, 4),
+        "mct_conflict_share": round(
+            100.0 * stats.conflict_misses_predicted / classified, 4
+        )
+        if classified
+        else 0.0,
+    }
+
+
+def system_beat(stats: SystemStats) -> Beat:
+    """The heartbeat payload of a simulation whose counters read ``stats``."""
+    return stats.as_dict(), heartbeat_fields(stats)
 
 
 def measure_boundaries(
@@ -146,8 +210,8 @@ def measure_boundaries(
     gets its shot even on short windows); ``beat`` marks multiples of
     ``heartbeat_every`` strictly inside the window (no heartbeat for the
     final boundary: ``sim_end`` immediately follows with the complete
-    snapshot).  Both engines walk this one schedule, so the event stream
-    and fault-site hit counts are engine-independent.
+    snapshot).  Every driver walks this one schedule, so the event
+    stream and fault-site hit counts are engine-independent.
     """
     position = 0
     while position < total:
@@ -162,41 +226,56 @@ def measure_boundaries(
         position = stop
 
 
-def _measure(
-    system: MemorySystem,
-    refs: Iterator[_Ref],
-    total: int,
-    ticker: Optional[SimTicker],
-    tick_every: int,
-) -> SystemStats:
-    """The measured loop with metrics and/or fault injection enabled.
+class MeasuredWindow:
+    """One simulation's heartbeat ticker and ``sim_tick`` cadence.
 
-    Simulates exactly the same references in the same order as the plain
-    loop — statistics are bit-identical either way — but in chunks at
-    the :func:`measure_boundaries` schedule, honouring *both* cadences
-    when a heartbeat ticker and an armed ``sim_tick`` fault plan are
-    active at once (they need not agree; each keeps its own cadence).
+    Opening it emits ``sim_start`` (metrics on) and reads the armed
+    cadence, once per simulation; :meth:`walk` visits the
+    :func:`measure_boundaries` schedule and :meth:`close` emits
+    ``sim_end``.  Unwatched (the default), drivers run their bare loop.
     """
-    access = system.access
-    heartbeat_every = ticker.every if ticker is not None and ticker.every > 0 else 0
-    if ticker is not None:
-        ticker.begin()
-    position = 0
-    for stop, fire, beat in measure_boundaries(total, heartbeat_every, tick_every):
-        for addr, load, gap in islice(refs, stop - position):
-            access(addr, is_load=load, gap=gap)
-        position = stop
-        if fire:
-            faults.fire("sim_tick")
-        if beat:
-            assert ticker is not None
-            ticker.tick(
-                stop, system.stats.as_dict(), **system.heartbeat_snapshot()
-            )
-    stats = system.finish()
-    if ticker is not None:
-        ticker.finish(total, stats.as_dict())
-    return stats
+
+    def __init__(self, *, bench: str, policy: str, refs: int, warmup: int) -> None:
+        self.total = refs - warmup
+        self.ticker = sim_ticker(
+            bench=bench, policy=policy, refs=refs, warmup=warmup
+        )
+        # 0 unless a fault plan arming the sim_tick site is active here.
+        self.tick_every = faults.sim_tick_every()
+        self.heartbeat_every = 0
+        if self.ticker is not None:
+            self.heartbeat_every = max(self.ticker.every, 0)
+            self.ticker.begin()
+
+    @property
+    def watched(self) -> bool:
+        return self.ticker is not None or self.tick_every > 0
+
+    def walk(
+        self,
+        beat: Callable[[int], Beat],
+        advance: Optional[Callable[[int], None]] = None,
+    ) -> None:
+        """Fire ``sim_tick`` and emit heartbeats (``beat(refs_done)``'s
+        payload) on both cadences; ``advance(count)``, when given,
+        simulates the next ``count`` references before each boundary."""
+        position = 0
+        for stop, fire, is_beat in measure_boundaries(
+            self.total, self.heartbeat_every, self.tick_every
+        ):
+            if advance is not None:
+                advance(stop - position)
+            position = stop
+            if fire:
+                faults.fire("sim_tick")
+            if is_beat:
+                assert self.ticker is not None
+                counters, fields = beat(stop)
+                self.ticker.tick(stop, counters, **fields)
+
+    def close(self, counters: Mapping[str, object]) -> None:
+        if self.ticker is not None:
+            self.ticker.finish(self.total, counters)
 
 
 def simulate_policies(

@@ -65,12 +65,12 @@ Pass structure
    one ``np.add.accumulate`` (sequential by definition, so the float
    result is bit-identical to repeated ``+=``).
 
-4. **Emission** — heartbeats and ``sim_tick`` fault-site hits are
-   walked over the same boundary schedule the scalar measured loop
-   uses (:func:`repro.system.simulator.measure_boundaries`), with
-   counter snapshots read off prefix sums, so ``events.jsonl`` carries
-   the same events in the same order and ``obs.validate --reconcile``
-   holds for either engine.
+4. **Emission** — the simulator's
+   :class:`~repro.system.simulator.MeasuredWindow` walks the scalar
+   driver's boundary schedule, firing ``sim_tick`` and emitting
+   heartbeats whose counters are read off prefix sums, so
+   ``events.jsonl`` carries the same events in the same order and
+   ``obs.validate --reconcile`` holds for either engine.
 """
 
 from __future__ import annotations
@@ -80,14 +80,12 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import faults
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import SystemStats, TimingStats
 from repro.mrc.stack import set_lru_flags
-from repro.obs.heartbeat import sim_ticker
 from repro.system.config import MachineConfig, PAPER_MACHINE, TimingConfig
 from repro.system.policies import AssistConfig
-from repro.system.simulator import measure_boundaries
+from repro.system.simulator import MeasuredWindow, check_warmup, system_beat
 from repro.workloads.trace import Trace
 
 
@@ -531,23 +529,6 @@ def _stats_at(prefixes: Dict[str, "np.ndarray"], p: int) -> SystemStats:
     return stats
 
 
-def _heartbeat_fields(stats: SystemStats) -> Dict[str, float]:
-    """Mirror of :meth:`MemorySystem.heartbeat_snapshot`, same formulas."""
-    classified = (
-        stats.conflict_misses_predicted + stats.capacity_misses_predicted
-    )
-    return {
-        "l1_hit_rate": round(stats.l1.hit_rate, 4),
-        "buffer_hit_rate": round(stats.buffer.hit_rate_of_probes, 4),
-        "total_hit_rate": round(stats.total_hit_rate, 4),
-        "mct_conflict_share": round(
-            100.0 * stats.conflict_misses_predicted / classified, 4
-        )
-        if classified
-        else 0.0,
-    }
-
-
 def simulate_vector(
     trace: Trace,
     policy: AssistConfig,
@@ -563,16 +544,15 @@ def simulate_vector(
     raises with the :func:`vector_ineligibility` reason otherwise.
     """
     n = len(trace)
-    if not 0 <= warmup < n:
-        raise ValueError(
-            f"warmup {warmup} must lie in [0, {n}) so at least one "
-            f"of the trace's {n} references is measured"
-        )
+    check_warmup(warmup, n)
     reason = vector_ineligibility(policy, machine)
     if reason is not None:
         raise ValueError(
             f"not vector-eligible: {reason} — use the scalar engine"
         )
+    window = MeasuredWindow(
+        bench=trace.name, policy=policy.name, refs=n, warmup=warmup
+    )
     geometry = machine.l1
     blocks = trace.addresses >> geometry.offset_bits
     writes = np.logical_not(trace.is_load)
@@ -586,7 +566,6 @@ def simulate_vector(
     l1_miss = np.logical_not(l1_hit)
     l2_hit_at, l2_evict_at = _l2_pass(blocks, l1_miss, machine.l2)
 
-    m = n - warmup
     masks: Dict[str, "np.ndarray"] = {
         "l1_hit": l1_hit[warmup:],
         "l1_evict": l1_evict[warmup:],
@@ -599,38 +578,16 @@ def simulate_vector(
         trace.gaps[warmup:], l1_miss[warmup:], l2_hit_at[warmup:],
         machine.timing,
     )
-
-    ticker = sim_ticker(
-        bench=trace.name, policy=policy.name, refs=n, warmup=warmup
-    )
-    tick_every = faults.sim_tick_every()
-    heartbeat_every = (
-        ticker.every if ticker is not None and ticker.every > 0 else 0
-    )
-
     prefixes = _counter_prefixes(masks)
-    stats = _stats_at(prefixes, m)
+    stats = _stats_at(prefixes, n - warmup)
     stats.timing = timing
 
-    # Walk the same boundary schedule as the scalar measured loop so the
-    # event stream (and any armed sim_tick fault — kills included) is
-    # indistinguishable from a scalar run.
-    if ticker is not None:
-        ticker.begin()
-    if heartbeat_every or tick_every:
-        for stop, fire, beat in measure_boundaries(
-            m, heartbeat_every, tick_every
-        ):
-            if fire:
-                faults.fire("sim_tick")
-            if beat:
-                assert ticker is not None
-                snapshot = _stats_at(prefixes, stop)
-                ticker.tick(
-                    stop, snapshot.as_dict(), **_heartbeat_fields(snapshot)
-                )
-    if ticker is not None:
-        ticker.finish(m, stats.as_dict())
+    # Walk the scalar driver's boundary schedule, reading each beat's
+    # counters off the prefix sums, so the event stream (and any armed
+    # sim_tick fault — kills included) is indistinguishable from a
+    # scalar run.
+    window.walk(lambda p: system_beat(_stats_at(prefixes, p)))
+    window.close(stats.as_dict())
 
     from repro.harness.invariants import maybe_check_system
 

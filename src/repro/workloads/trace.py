@@ -137,8 +137,9 @@ class Trace:
 def merge_round_robin(traces: list[Trace], name: str = "merged") -> Trace:
     """Interleave traces reference-by-reference (uniform round-robin).
 
-    Useful for quick multiprogrammed-style mixes in tests; the richer
-    weighted/chunked interleaving lives in :mod:`repro.workloads.mixes`.
+    The §5.6 shared-cache runs and the co-scheduling advisor use it; the
+    richer weighted/chunked interleaving lives in
+    :mod:`repro.workloads.mixes`.
     """
     if not traces:
         raise ValueError("need at least one trace")

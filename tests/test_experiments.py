@@ -63,14 +63,16 @@ class TestFramework:
 
 
 class TestAccuracyTablesPinned:
-    """Figures 1-2, the associativity sweep and §5.6, byte for byte.
+    """Figures 1-2, the associativity sweep, §5.4 and §5.6, byte for byte.
 
     The digests were computed from the per-reference accuracy loop
     (set-LRU cache + MCT + simulating fully-associative oracle) that
     the vectorised pass replaced, so any drift in the shared L1 pass,
     the stack-distance ground truth or the table formatting fails here.
     The sec56 digest comes from the experiment as it was before its
-    repeated shared run was dropped.
+    repeated shared run was dropped, and the sec54 digest from the
+    pseudo-associative runs' private per-reference loop, before they
+    moved onto the simulator's one driver.
     """
 
     PARAMS = ExperimentParams(
@@ -81,12 +83,13 @@ class TestAccuracyTablesPinned:
         "fig2": "f1d98320556b651b4e1478edc66ec82514eb8539b20e87f9fc294f6fd311ec59",
         "assoc": "83f2d1ad9970be93b4c2c13f25d29f41914eac06f444fae6af862d5157dc591f",
         "sec56": "de056601c1a49226d4e8d9f37ddbf56b81313a98c36b61930944208e29fe481c",
+        "sec54": "5a1a071db0f563894ef15b787c4c966aeaa0c06409feeed626ce10134cd28041",
     }
 
     @pytest.mark.parametrize(
         "experiment",
-        [fig1_accuracy, fig2_tag_bits, assoc_sweep, sec56_multithreaded],
-        ids=["fig1", "fig2", "assoc", "sec56"],
+        [fig1_accuracy, fig2_tag_bits, assoc_sweep, sec56_multithreaded, sec54_pseudo],
+        ids=["fig1", "fig2", "assoc", "sec56", "sec54"],
     )
     def test_table_digest(self, experiment):
         result = experiment.run(self.PARAMS)

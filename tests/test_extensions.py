@@ -4,18 +4,20 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.line import CacheLine
+from repro.cache.set_assoc import SetAssociativeCache
+from repro.core.mct import MissClassificationTable
 from repro.extensions.assoc_replacement import (
     ConflictBiasedReplacement,
     compare_assoc_replacement,
 )
-from repro.extensions.coscheduling import CoScheduleAdvisor
+from repro.extensions.coscheduling import CoScheduleAdvisor, PairingReport
 from repro.extensions.page_remap import (
     PageRemapper,
     RemapPolicy,
     simulate_remap,
 )
 from repro.workloads.spec_analogs import build
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, merge_round_robin
 
 GEO_DM = CacheGeometry(size=16 * 1024, assoc=1, line_size=64)
 GEO_4W = CacheGeometry(size=16 * 1024, assoc=4, line_size=64)
@@ -184,3 +186,35 @@ class TestCoScheduling:
         ]
         assert first == min(all_rates)
         assert first <= second
+
+
+def reference_pairing(geometry, a, b):
+    """A pair's report from a live set-LRU cache + MCT, reference by reference."""
+    merged = merge_round_robin([a, b])
+    mct = MissClassificationTable(geometry)
+    cache = SetAssociativeCache(geometry, on_evict=mct.on_evict)
+    conflicts = 0
+    for addr in merged.addresses.tolist():
+        if not cache.lookup(addr).hit:
+            conflicts += mct.classify_is_conflict(addr)
+            cache.fill(addr)
+    n = cache.stats.accesses
+    return PairingReport(
+        jobs=(a.name, b.name),
+        miss_rate=cache.stats.miss_rate,
+        conflict_miss_rate=100.0 * conflicts / n if n else 0.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [GEO_DM, GEO_4W, CacheGeometry(size=4 * 1024, assoc=2, line_size=64)],
+    ids=["16k-dm", "16k-4way", "4k-2way"],
+)
+@pytest.mark.parametrize(
+    "pair", [("go", "li"), ("tomcatv", "gcc"), ("swim", "compress")]
+)
+def test_measure_pair_matches_per_reference_cache(geometry, pair):
+    a, b = (build(name, 6_000) for name in pair)
+    report = CoScheduleAdvisor(geometry).measure_pair(a, b)
+    assert report == reference_pairing(geometry, a, b)

@@ -125,6 +125,40 @@ class TestRuntime:
         faults.activate(parse_plan("sim_tick:exception"))
         assert faults.sim_tick_every() == faults.SIM_TICK_EVERY
 
+    @pytest.mark.parametrize(
+        "driver",
+        ["simulate", "simulate_vector", "simulate_pac", "simulate_shared",
+         "measure_accuracy"],
+    )
+    def test_sim_tick_fires_in_every_driver(self, driver):
+        # Every driver walks the simulator's one measured window, so an
+        # armed sim_tick site fires inside each of them (2500 measured
+        # references here: the 1000-reference cadence, not only the end).
+        from repro.cache.geometry import CacheGeometry
+        from repro.core.accuracy import measure_accuracy
+        from repro.system import BASELINE, simulate, simulate_pac, simulate_shared
+        from repro.system.vector import simulate_vector
+        from repro.workloads.spec_analogs import build
+
+        trace = build("gcc", 3_000, 0)
+        runs = {
+            "simulate": lambda: simulate(
+                trace, BASELINE, warmup=500, engine="scalar"
+            ),
+            "simulate_vector": lambda: simulate_vector(trace, BASELINE, warmup=500),
+            "simulate_pac": lambda: simulate_pac(trace, warmup=500),
+            "simulate_shared": lambda: simulate_shared(
+                [build("go", 1_500, 0), build("li", 1_500, 0)],
+                warmup_fraction=1 / 6,
+            ),
+            "measure_accuracy": lambda: measure_accuracy(
+                trace.addresses[500:], CacheGeometry(size=16 * 1024, assoc=1)
+            ),
+        }
+        faults.activate(parse_plan("sim_tick:exception:0:0"))
+        with pytest.raises(InjectedCrash, match="sim_tick"):
+            runs[driver]()
+
     def test_partial_tears_file_and_exits(self, tmp_path):
         # partial ends in os._exit, so drive it in a child interpreter.
         target = tmp_path / "artifact.json"

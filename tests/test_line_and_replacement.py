@@ -1,6 +1,6 @@
 """Unit tests for cache-line state and replacement policies."""
 
-from repro.cache.line import BufferRole, CacheLine, EvictedLine
+from repro.cache.line import CacheLine, EvictedLine
 from repro.cache.replacement import LRUReplacement
 
 
@@ -9,15 +9,13 @@ class TestCacheLine:
         line = CacheLine()
         assert not line.valid
         assert not line.conflict_bit
-        assert line.role is None
 
     def test_fill_sets_state(self):
         line = CacheLine()
-        line.fill(0xAB, now=7, conflict_bit=True, role=BufferRole.VICTIM)
+        line.fill(0xAB, now=7, conflict_bit=True)
         assert line.valid
         assert line.tag == 0xAB
         assert line.conflict_bit
-        assert line.role is BufferRole.VICTIM
         assert line.last_touch == 7
 
     def test_fill_overwrites_previous_state(self):

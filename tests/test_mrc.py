@@ -45,7 +45,7 @@ from repro.mrc.cli import main as mrc_main
 from repro.mrc.curve import MissRatioCurve
 from repro.mrc.decompose import ConflictSplit
 from repro.mrc.sampling import SampleResult, hash_blocks
-from repro.mrc.stack import _Fenwick
+from repro.mrc.stack import _Fenwick, set_lru_flags, stack_distances
 from repro.workloads.spec_analogs import EVAL_SUITE, build
 
 # Small universes so short traces still collide and revisit.
@@ -172,6 +172,28 @@ class TestStackEngine:
         (from_profile,) = profile.miss_counts([capacity])
         simulated = brute_force_fa_misses(addrs, LINE, capacity)
         assert from_profile == simulated
+
+    @given(block_lists, st.integers(min_value=0, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    def test_direct_mapped_flags_follow_stack_distance_rule(self, refs, set_bits):
+        # set_lru_flags answers assoc 1 without a stack pass; on any
+        # set-sorted stream it must agree with the general rule: a hit
+        # has stack distance <= 1, and a miss evicts once its segment
+        # has seen a distinct block.
+        block_array = np.asarray(refs, dtype=np.int64)
+        sets = block_array & ((1 << set_bits) - 1)
+        order = np.argsort(sets, kind="stable")
+        b, s = block_array[order], sets[order]
+        hit, evict = set_lru_flags(b, s, 1)
+        distances = stack_distances(b).tolist()
+        seen = {}
+        expected_evict = []
+        for block, set_index, distance in zip(b.tolist(), s.tolist(), distances):
+            in_set = seen.setdefault(set_index, set())
+            expected_evict.append(distance != 1 and len(in_set) >= 1)
+            in_set.add(block)
+        assert hit.tolist() == [d == 1 for d in distances]
+        assert evict.tolist() == expected_evict
 
     def test_cold_misses_count_distinct_blocks(self):
         addrs = addresses_from_blocks([1, 2, 1, 3, 2, 1])
@@ -604,3 +626,34 @@ class TestIntegration:
         reconciled, issues = reconcile_events(events)
         assert issues == []
         assert reconciled == 1
+
+    @pytest.mark.parametrize(
+        "run, slowed",
+        [("run_exact", "compute_profile"), ("run_sampled", "sampled_curve")],
+    )
+    def test_mrc_end_times_the_pass(self, tmp_path, monkeypatch, run, slowed):
+        import time
+
+        from repro.experiments import mrc_curves
+        from repro.experiments.base import ExperimentParams
+        from repro.obs import events as obs_events
+        from repro.obs.config import ObsConfig
+
+        original = getattr(mrc_curves, slowed)
+
+        def sleepy(*args, **kwargs):
+            time.sleep(0.05)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mrc_curves, slowed, sleepy)
+        path = tmp_path / "events.jsonl"
+        obs_events.activate(ObsConfig(events_path=str(path)), cell="mrc.main")
+        try:
+            getattr(mrc_curves, run)(
+                ExperimentParams(n_refs=2_000, warmup=0, suite=["gcc"])
+            )
+        finally:
+            obs_events.deactivate()
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        (end,) = [e for e in events if e["type"] == "mrc_end"]
+        assert end["wall_s"] >= 0.05

@@ -10,6 +10,7 @@ from repro.system.multithreaded import (
 )
 from repro.system.policies import BASELINE
 from repro.workloads.spec_analogs import build
+from repro.workloads.trace import Trace
 
 
 class TestSimulateShared:
@@ -24,6 +25,12 @@ class TestSimulateShared:
     def test_rejects_bad_warmup_fraction(self):
         with pytest.raises(ValueError):
             simulate_shared([build("go", 100)], warmup_fraction=1.0)
+
+    def test_rejects_threads_with_nothing_to_measure(self):
+        # Truncation to the shortest thread leaves nothing to measure:
+        # refused with simulate()'s warmup error, not all-zero stats.
+        with pytest.raises(ValueError, match="at least one"):
+            simulate_shared([build("go", 100), Trace([], name="idle")])
 
     def test_per_thread_counters_sum_to_combined(self):
         traces = [build("go", 5_000), build("li", 5_000)]

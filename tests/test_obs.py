@@ -271,6 +271,23 @@ class TestSimTicker:
         # Still exactly one closing delta plus the final snapshot.
         assert types.count("counters") == 1 and types.count("sim_end") == 1
 
+    def test_accuracy_beats_stop_short_of_the_window_end(self, tmp_path):
+        # As in every simulation, the window's last reference gets no
+        # heartbeat: sim_end follows with the complete snapshot.
+        from repro.cache.geometry import CacheGeometry
+        from repro.core.accuracy import measure_accuracy
+
+        path = tmp_path / "events.jsonl"
+        obs_events.activate(ObsConfig(events_path=str(path), heartbeat_every=700))
+        try:
+            measure_accuracy(
+                build("gcc", 2_100, 0).addresses, CacheGeometry(size=16 * 1024)
+            )
+        finally:
+            obs_events.deactivate()
+        beats = [e for e in read_events(path) if e["type"] == "heartbeat"]
+        assert [b["refs_done"] for b in beats] == [700, 1400]
+
     def test_accuracy_ticker_reconciles(self, tmp_path):
         from repro.cache.geometry import CacheGeometry
         from repro.core.accuracy import measure_accuracy
@@ -378,6 +395,24 @@ class TestHarnessIntegration:
         (cell_report,) = report.cells
         names = [s["name"] for s in cell_report.spans]
         assert "cell" in names and "attempt" in names
+
+    def test_pac_and_shared_runs_are_simulations(self, tmp_path, capsys):
+        # sec54 runs two scalar/vector and two pseudo-associative
+        # simulations per bench; sec56 two shared and two solo runs per
+        # pair.  All of them walk the one measured window.
+        run = tmp_path / "run"
+        code = runner_main(
+            ["sec54", "sec56", "--refs", "4000", "--warmup", "1000",
+             "--suite", "gcc", "--metrics", "--heartbeat-every", "1000",
+             "--run-dir", str(run)]
+        )
+        assert code == 0
+        events = read_events(run / "events.jsonl")
+        starts = [e["cell"] for e in events if e["type"] == "sim_start"]
+        assert (starts.count("sec54.main"), starts.count("sec56.main")) == (4, 16)
+        pac = [e for e in events if e["type"] == "sim_start" and e["bench"] == "gcc"]
+        assert {e["policy"] for e in pac} >= {"pac[classic]", "pac[mct]"}
+        assert validate_main([str(run / "events.jsonl"), "--reconcile"]) == 0
 
     def test_retry_and_backoff_spans(self, tmp_path):
         obs = self._obs(tmp_path, events_path=None, heartbeat_every=0)

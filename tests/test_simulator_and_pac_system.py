@@ -257,3 +257,18 @@ class TestPacSystem:
         t = trace([0x1000, 0x1000])
         stats = simulate_pac(t)
         assert stats.memory_accesses == 1
+
+    @pytest.mark.parametrize("bench", ["gcc", "tomcatv", "swim"])
+    @pytest.mark.parametrize("variant", list(PacVariant))
+    def test_statistics_obey_the_invariant_laws(self, variant, bench):
+        # Every miss is classified once, by its primary slot's MCT.
+        from repro.harness import invariants
+        from repro.workloads.spec_analogs import build
+
+        invariants.set_enabled(True)
+        try:
+            stats = simulate_pac(build(bench, 6_000, 0), variant, warmup=1_000)
+        finally:
+            invariants.set_enabled(None)
+        predicted = stats.conflict_misses_predicted + stats.capacity_misses_predicted
+        assert predicted == stats.l1.misses > 0
