@@ -91,10 +91,10 @@ class SetAssociativeCache:
         self.name = name
         self.on_evict = on_evict
         self.stats = CacheStats()
-        self._sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(geometry.assoc)]
-            for _ in range(geometry.num_sets)
-        ]
+        # A set's ways are built when it is first filled or handed out
+        # (None until then): the paper's 1 MB 2-way L2 alone would be
+        # 16,384 line objects, most of them never touched by a run.
+        self._sets: List[Optional[List[CacheLine]]] = [None] * geometry.num_sets
         self._now = 0
 
     # ------------------------------------------------------------------
@@ -109,6 +109,15 @@ class SetAssociativeCache:
         self._now += 1
         return self._now
 
+    def _built(self, index: int) -> List[CacheLine]:
+        """Set ``index``'s lines, building its invalid ways on first use."""
+        lines = self._sets[index]
+        if lines is None:
+            lines = self._sets[index] = [
+                CacheLine() for _ in range(self.geometry.assoc)
+            ]
+        return lines
+
     # ------------------------------------------------------------------
     # Queries (non-allocating)
     # ------------------------------------------------------------------
@@ -116,7 +125,7 @@ class SetAssociativeCache:
         """True when ``addr`` is resident.  No state is changed."""
         geometry = self.geometry
         tag = geometry.tag(addr)
-        for line in self._sets[geometry.set_index(addr)]:
+        for line in self._sets[geometry.set_index(addr)] or ():
             if line.valid and line.tag == tag:
                 return True
         return False
@@ -124,7 +133,7 @@ class SetAssociativeCache:
     def find_way(self, addr: int) -> Optional[int]:
         """The way holding ``addr``, or None.  No state is changed."""
         tag = self.geometry.tag(addr)
-        for way, line in enumerate(self._sets[self.geometry.set_index(addr)]):
+        for way, line in enumerate(self._sets[self.geometry.set_index(addr)] or ()):
             if line.valid and line.tag == tag:
                 return way
         return None
@@ -134,11 +143,11 @@ class SetAssociativeCache:
         way = self.find_way(addr)
         if way is None:
             return None
-        return self._sets[self.geometry.set_index(addr)][way]
+        return self._built(self.geometry.set_index(addr))[way]
 
     def lines_of_set(self, index: int) -> List[CacheLine]:
         """Direct (mutable) view of one set — for tests and policies."""
-        return self._sets[index]
+        return self._built(index)
 
     def victim_preview(self, addr: int) -> Optional[EvictedLine]:
         """Which line *would* be evicted by a fill of ``addr`` right now.
@@ -148,6 +157,8 @@ class SetAssociativeCache:
         incoming line goes before committing the fill.
         """
         lines = self._sets[self.geometry.set_index(addr)]
+        if lines is None:
+            return None
         way = self.policy.choose_victim(lines)
         victim = lines[way]
         return victim.snapshot() if victim.valid else None
@@ -184,7 +195,7 @@ class SetAssociativeCache:
         index = geometry.set_index(addr)
         tag = geometry.tag(addr)
         stats.accesses += 1
-        for way, line in enumerate(self._sets[index]):
+        for way, line in enumerate(self._sets[index] or ()):
             if line.valid and line.tag == tag:
                 line.touch(now)
                 if write:
@@ -218,7 +229,7 @@ class SetAssociativeCache:
             )
         now = self._tick()
         index = self.geometry.set_index(addr)
-        lines = self._sets[index]
+        lines = self._built(index)
         way = self.policy.choose_victim(lines)
         victim_line = lines[way]
         evicted: Optional[EvictedLine] = None
@@ -246,7 +257,7 @@ class SetAssociativeCache:
         way = self.find_way(addr)
         if way is None:
             return None
-        line = self._sets[self.geometry.set_index(addr)][way]
+        line = self._built(self.geometry.set_index(addr))[way]
         snap = line.snapshot()
         line.invalidate()
         return snap
@@ -265,20 +276,20 @@ class SetAssociativeCache:
     def resident_blocks(self) -> Iterator[int]:
         """Yield the line-aligned address of every valid resident line."""
         for index, lines in enumerate(self._sets):
-            for line in lines:
+            for line in lines or ():
                 if line.valid:
                     yield self.geometry.compose(line.tag, index)
 
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
         return sum(
-            1 for lines in self._sets for line in lines if line.valid
+            1 for lines in self._sets if lines for line in lines if line.valid
         )
 
     def flush(self) -> None:
         """Invalidate every line (stats are kept)."""
         for lines in self._sets:
-            for line in lines:
+            for line in lines or ():
                 line.invalidate()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

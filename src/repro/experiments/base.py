@@ -36,6 +36,8 @@ class ExperimentParams:
             raise ValueError("n_refs must be positive")
         if not 0 <= self.warmup < self.n_refs:
             raise ValueError("warmup must be in [0, n_refs)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def bench_suite(self, default: Sequence[str]) -> List[str]:
         return list(self.suite) if self.suite is not None else list(default)

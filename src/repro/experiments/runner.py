@@ -38,6 +38,7 @@ import sys
 from typing import Callable, List, Optional
 
 from repro import faults
+from repro.argtypes import at_least, checked
 from repro.experiments.base import ExperimentParams, ExperimentResult, format_result
 from repro.harness.cells import (
     SHARDED_EXPERIMENTS,
@@ -63,9 +64,24 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help=f"experiment ids ({', '.join(known_experiments())}) or 'all'",
     )
-    parser.add_argument("--refs", type=int, default=None, help="trace length")
-    parser.add_argument("--warmup", type=int, default=None, help="warmup refs")
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
+    parser.add_argument(
+        "--refs",
+        type=checked(int, lambda n: ExperimentParams(n_refs=n, warmup=0)),
+        default=None,
+        help="trace length",
+    )
+    parser.add_argument(
+        "--warmup",
+        type=at_least(0),
+        default=None,
+        help="warmup refs",
+    )
+    parser.add_argument(
+        "--seed",
+        type=checked(int, lambda n: ExperimentParams(seed=n)),
+        default=0,
+        help="workload seed",
+    )
     parser.add_argument(
         "--suite",
         default=None,
@@ -84,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     harness = parser.add_argument_group("harness (fault tolerance)")
     harness.add_argument(
         "--jobs",
-        type=int,
+        type=checked(int, lambda n: HarnessConfig(jobs=n)),
         default=None,
         metavar="N",
         help="supervise up to N cells concurrently "
@@ -106,20 +122,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     harness.add_argument(
         "--timeout",
-        type=float,
+        type=checked(float, lambda s: HarnessConfig(timeout_s=s)),
         default=None,
         metavar="SECONDS",
         help="kill any cell attempt that runs longer than this",
     )
     harness.add_argument(
         "--retries",
-        type=int,
+        type=checked(int, lambda n: HarnessConfig(retries=n)),
         default=1,
         help="extra attempts per failed/timed-out cell (default 1)",
     )
     harness.add_argument(
         "--backoff",
-        type=float,
+        type=checked(float, lambda s: HarnessConfig(backoff_s=s)),
         default=0.5,
         metavar="SECONDS",
         help="base retry backoff; doubles per attempt, with jitter",
@@ -146,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     harness.add_argument(
         "--breaker",
-        type=int,
+        type=checked(int, lambda n: HarnessConfig(breaker_threshold=n)),
         default=5,
         metavar="K",
         help="abort cleanly after K consecutive infrastructure failures "
@@ -185,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "--heartbeat-every",
-        type=int,
+        type=checked(int, lambda n: ObsConfig(heartbeat_every=n)),
         default=0,
         metavar="N",
         help="emit a simulation heartbeat event every N measured references "
@@ -317,8 +333,6 @@ def main(argv: List[str] | None = None) -> int:
         parser.error("--profile needs --run-dir (profiles/ lives there)")
     if args.heartbeat_every and not args.metrics:
         parser.error("--heartbeat-every needs --metrics (heartbeats are events)")
-    if args.heartbeat_every < 0:
-        parser.error("--heartbeat-every must be >= 0")
 
     obs_config = None
     if args.metrics or args.trace or args.profile:

@@ -101,11 +101,13 @@ class HarnessConfig:
     breaker_threshold: int = 5
 
     def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        if self.timeout_s is not None and not self.timeout_s > 0:
             raise ValueError("timeout_s must be positive (or None)")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.backoff_s < 0 or self.backoff_factor < 1 or self.jitter < 0:
+        if not (
+            self.backoff_s >= 0 and self.backoff_factor >= 1 and self.jitter >= 0
+        ):
             raise ValueError("backoff must be >= 0, factor >= 1, jitter >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")

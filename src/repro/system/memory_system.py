@@ -1,6 +1,8 @@
 """The simulated memory system: L1 + MCT + assist buffer + L2 + memory.
 
-This is the engine behind every Section-5 experiment.  One
+This is the reference engine that defines every Section-5 experiment's
+statistics (the fast engine's buffered replay,
+:mod:`repro.system.buffered`, reproduces them byte for byte).  One
 :class:`MemorySystem` wires together:
 
 * the L1 data cache (16KB direct-mapped by default),

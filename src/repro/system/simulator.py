@@ -6,18 +6,20 @@ Two engines produce byte-identical statistics:
 
 * ``scalar`` — the pinned reference: every reference walks through a
   live :class:`~repro.system.memory_system.MemorySystem`.
-* ``vector`` — the set-partitioned numpy engine
-  (:mod:`repro.system.vector`), an order of magnitude faster for the
-  bufferless policies it supports.
+* ``vector`` — the fast engine (:mod:`repro.system.vector`): numpy
+  passes for bufferless cells, and for buffered cells on a
+  direct-mapped L1 the flat-state replay of
+  :mod:`repro.system.buffered`.
 
 ``engine="auto"`` (the default) picks the vector engine whenever the
 run is eligible.  Every simulation's measured window lives here:
-:func:`drive` runs it reference by reference (the scalar engine, the
-PAC and shared-cache runs), and the numpy passes of the vector engine
-and :func:`~repro.core.accuracy.measure_accuracy` walk the same
-:class:`MeasuredWindow` afterwards.  Also provides the speedup helpers
-the figures are built from (IPC relative to a baseline policy on the
-same trace) and the geometric/arithmetic means the paper averages with.
+:func:`drive` runs it in chunks of references (the scalar engine, the
+buffered replay, the PAC and shared-cache runs), and the numpy passes
+of the vector engine and :func:`~repro.core.accuracy.measure_accuracy`
+walk the same :class:`MeasuredWindow` afterwards.  Also provides the
+speedup helpers the figures are built from (IPC relative to a baseline
+policy on the same trace) and the geometric/arithmetic means the paper
+averages with.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
+    cast,
 )
 
 from repro import faults
@@ -80,10 +83,12 @@ def simulate(
     divide by zero or read 0.0.
 
     ``engine`` selects the implementation: ``"scalar"`` always uses the
-    reference per-reference loop, ``"vector"`` *demands* the
-    set-partitioned engine, and ``"auto"`` (the default) uses the vector
-    engine when the run is eligible.  For an ineligible cell (assist
-    buffer — see :func:`repro.system.vector.vector_ineligibility`)
+    reference per-reference loop, ``"vector"`` *demands* the fast
+    engine, and ``"auto"`` (the default) uses the fast engine when the
+    run is eligible, which is every run with a direct-mapped L1 and
+    every bufferless one.  For an ineligible cell (an assist buffer
+    beside an associative L1 — see
+    :func:`repro.system.vector.vector_ineligibility`)
     ``"auto"`` falls back to the scalar engine, recording an
     ``engine_fallback`` event with the reason when metrics are active,
     while ``"vector"`` raises the reason — a demand that cannot be
@@ -126,45 +131,67 @@ class Simulated(Protocol):
 
     stats: SystemStats
 
-    def access(self, addr: int, *, is_load: bool = ..., gap: int = ...) -> None: ...
-
     def reset_measurement(self) -> None: ...
 
     def finish(self) -> SystemStats: ...
 
 
-def drive(system: Simulated, trace: Trace, *, policy: str, warmup: int) -> SystemStats:
-    """Warm ``system`` on ``warmup`` references of ``trace``, measure the
-    rest; ``policy`` names the run in its ``sim_start`` event."""
-    check_warmup(warmup, len(trace))
+class Stepped(Simulated, Protocol):
+    """A memory system driven one reference at a time."""
+
+    def access(self, addr: int, *, is_load: bool = ..., gap: int = ...) -> None: ...
+
+
+def _step_each(system: Stepped, trace: Trace) -> Callable[[int], None]:
+    """``advance(count)``: feed ``system`` the trace's next ``count``
+    references, one ``access`` each."""
     access = system.access
     # Convert the trace's numpy arrays to native lists once: indexing a
     # numpy array boxes a fresh scalar object per element, which costs
-    # more than the cache lookup it feeds on short references.  A single
-    # zip iterator is then shared by the warmup and measured loops —
-    # islice() consumes it in place, so neither loop copies the lists
-    # again (slicing them per loop used to triple peak trace memory).
+    # more than the cache lookup it feeds on short references.  One zip
+    # iterator is shared by every chunk — islice() consumes it in place,
+    # so no chunk copies the lists again (slicing them per loop used to
+    # triple peak trace memory).
     refs: Iterator[Tuple[int, bool, int]] = zip(
         trace.addresses.tolist(), trace.is_load.tolist(), trace.gaps.tolist()
     )
-    for addr, load, gap in islice(refs, warmup):
-        access(addr, is_load=load, gap=gap)
+
+    def advance(count: int) -> None:
+        for addr, load, gap in islice(refs, count):
+            access(addr, is_load=load, gap=gap)
+
+    return advance
+
+
+def drive(
+    system: Simulated,
+    trace: Trace,
+    *,
+    policy: str,
+    warmup: int,
+    advance: Optional[Callable[[int], None]] = None,
+) -> SystemStats:
+    """Warm ``system`` on ``warmup`` references of ``trace``, measure the
+    rest; ``policy`` names the run in its ``sim_start`` event.
+
+    ``advance(count)`` simulates the next ``count`` references; it
+    defaults to one ``access`` per reference (:func:`_step_each`), and a
+    system that replays whole chunks itself passes its own.
+    """
+    check_warmup(warmup, len(trace))
+    if advance is None:
+        advance = _step_each(cast(Stepped, system), trace)
+    advance(warmup)
     if warmup:
         system.reset_measurement()
     window = MeasuredWindow(
         bench=trace.name, policy=policy, refs=len(trace), warmup=warmup
     )
     if not window.watched:
-        # Metrics and faults off (the default): the measured loop is
-        # exactly the warmup loop — no per-chunk bookkeeping, no overhead.
-        for addr, load, gap in refs:
-            access(addr, is_load=load, gap=gap)
+        # Metrics and faults off (the default): one chunk, no per-chunk
+        # bookkeeping, no overhead.
+        advance(len(trace) - warmup)
         return system.finish()
-
-    def advance(count: int) -> None:
-        for addr, load, gap in islice(refs, count):
-            access(addr, is_load=load, gap=gap)
-
     window.walk(lambda _: system_beat(system.stats), advance)
     stats = system.finish()
     window.close(stats.as_dict())

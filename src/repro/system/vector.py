@@ -12,12 +12,15 @@ through *timing* (bus, MSHRs, the retirement window).
 The engine is exact, not approximate: for every eligible run its
 :class:`~repro.cache.stats.SystemStats` is byte-identical to the scalar
 engine's (``as_dict()`` compares equal, and serialises to the same JSON
-bytes).  Eligibility is the bufferless hierarchy — see
-:func:`vector_supported`; buffered policies keep cross-set
-fully-associative state and stay on the scalar reference engine.  Any
-power-of-two L1 associativity is eligible: direct-mapped sets take the
-shift-compare fast path below, wider sets a per-segment LRU replay
-built from the same Mattson machinery as the L2 pass.
+bytes).  The passes below serve the bufferless hierarchy at any
+power-of-two L1 associativity: direct-mapped sets take the
+shift-compare fast path, wider sets a per-segment LRU replay built from
+the same Mattson machinery as the L2 pass.  An assist buffer keeps
+cross-set, fully-associative state whose decisions feed back into the
+L1 and the MCT, so :func:`simulate_vector` hands buffered cells to the
+flat-state replay of :mod:`repro.system.buffered` instead, which models
+a direct-mapped L1; a buffer beside an associative L1 is the one cell
+left to the scalar engine (:func:`vector_ineligibility`).
 
 Pass structure
 --------------
@@ -94,18 +97,17 @@ def vector_ineligibility(
 ) -> Optional[str]:
     """Why this cell cannot run on the vector engine, or ``None``.
 
-    The one remaining disqualifier is an assist buffer: it is fully
-    associative *across* sets (probes, swaps, bypasses and prefetches
-    couple the sets together), so its per-reference state is inherently
-    sequential.  The returned reason names the enabled buffer features,
-    so a caller that *demanded* the vector engine learns which knob to
-    blame rather than a generic refusal.  Cache geometry never
-    disqualifies: :class:`~repro.cache.geometry.CacheGeometry` already
-    enforces power-of-two sizes and associativity at construction, and
-    any power-of-two L1 associativity is vectorised
-    (:func:`_l1_set_assoc_pass`).
+    The one remaining disqualifier is an assist buffer beside an
+    associative L1.  The buffered replay (:mod:`repro.system.buffered`)
+    keeps one resident block per L1 set, so it serves every buffered
+    cell whose L1 is direct-mapped, as all of the paper's are.  The
+    returned reason names the enabled buffer features and the L1's
+    associativity, so a caller that *demanded* the vector engine learns
+    which knob to blame rather than a generic refusal.  Cache geometry
+    alone never disqualifies: any power-of-two L1 associativity is
+    vectorised for bufferless cells (:func:`_l1_set_assoc_pass`).
     """
-    if policy.buffer_entries > 0:
+    if policy.buffer_entries > 0 and machine.l1.assoc > 1:
         features = []
         if policy.victim_fills:
             features.append("victim fills")
@@ -116,21 +118,20 @@ def vector_ineligibility(
         detail = " + ".join(features) if features else "a raw assist buffer"
         return (
             f"policy {policy.name!r} drives {detail} through its "
-            f"{policy.buffer_entries}-entry assist buffer, whose "
-            "fully-associative cross-set state must be replayed "
-            "per reference"
+            f"{policy.buffer_entries}-entry assist buffer beside a "
+            f"{machine.l1.assoc}-way L1, and the buffered replay models "
+            "a direct-mapped L1 only"
         )
     return None
 
 
 def vector_supported(policy: AssistConfig, machine: MachineConfig) -> bool:
-    """True when the set-partitioned engine can reproduce this run exactly.
+    """True when the fast engine can reproduce this run exactly.
 
-    The vector engine models the bufferless hierarchy at any
-    power-of-two L1 associativity; buffered policies stay on the scalar
-    reference engine (see :func:`vector_ineligibility` for the reason
-    text).  ``AssistConfig`` validation guarantees a policy with
-    ``buffer_entries == 0`` has no victim/prefetch/exclusion behaviour.
+    Bufferless cells run the numpy passes at any power-of-two L1
+    associativity; buffered cells run the buffered replay when the L1
+    is direct-mapped (see :func:`vector_ineligibility` for the reason
+    text otherwise).
     """
     return vector_ineligibility(policy, machine) is None
 
@@ -504,8 +505,8 @@ def _stats_at(prefixes: Dict[str, "np.ndarray"], p: int) -> SystemStats:
 
     Timing and buffer stats stay zero: the scalar ``MemorySystem`` only
     publishes timing at ``finish()`` (mid-run heartbeat payloads carry
-    the default-constructed zeros), and the vector engine only runs
-    bufferless policies.
+    the default-constructed zeros), and these passes only run bufferless
+    policies.
     """
     stats = SystemStats()
     l1 = stats.l1
@@ -536,12 +537,14 @@ def simulate_vector(
     *,
     warmup: int = 0,
 ) -> SystemStats:
-    """Vectorised run of one trace: byte-identical to the scalar engine.
+    """Fast-engine run of one trace: byte-identical to the scalar engine.
 
     Callers normally go through :func:`repro.system.simulator.simulate`
     (whose ``engine="auto"`` falls back to the scalar engine for
-    ineligible cells); this function requires an eligible policy and
+    ineligible cells); this function requires an eligible cell and
     raises with the :func:`vector_ineligibility` reason otherwise.
+    Buffered cells go to the per-reference replay of
+    :mod:`repro.system.buffered`, bufferless ones to the numpy passes.
     """
     n = len(trace)
     check_warmup(warmup, n)
@@ -550,6 +553,10 @@ def simulate_vector(
         raise ValueError(
             f"not vector-eligible: {reason} — use the scalar engine"
         )
+    if policy.uses_buffer:
+        from repro.system.buffered import simulate_buffered
+
+        return simulate_buffered(trace, policy, machine, warmup=warmup)
     window = MeasuredWindow(
         bench=trace.name, policy=policy.name, refs=n, warmup=warmup
     )

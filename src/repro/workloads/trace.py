@@ -112,10 +112,6 @@ class Trace:
         # total instructions.
         return int(self.gaps.sum(dtype=np.int64)) + len(self)
 
-    def address_list(self) -> list[int]:
-        """Addresses as plain Python ints (for address-only consumers)."""
-        return [int(a) for a in self.addresses]
-
     def concat(self, other: "Trace", name: str | None = None) -> "Trace":
         """A new trace that plays this trace then ``other``."""
         return Trace(

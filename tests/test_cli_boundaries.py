@@ -13,6 +13,7 @@ from typing import Callable, List, Tuple
 
 import pytest
 
+from repro.experiments.runner import main as experiments_main
 from repro.harness import bench
 from repro.mrc.cli import main as mrc_main
 from repro.serve.__main__ import main as serve_main
@@ -108,6 +109,48 @@ def test_loadgen_rejects_bad_flags(argv, flag, capsys, tmp_path):
     socket = str(tmp_path / "absent.sock")
     code, stderr = run_cli(loadgen_main, ["--socket", socket, *argv], capsys, 1.0)
     assert_usage_error(code, stderr, flag)
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        # Unchecked, this one ran every cell into ValueError and exited 0.
+        (["--seed", "-1"], "--seed"),
+        (["--refs", "0"], "--refs"),
+        (["--refs", "x"], "--refs"),
+        (["--warmup", "-1"], "--warmup"),
+        (["--jobs", "0"], "--jobs"),
+        (["--timeout", "-1"], "--timeout"),
+        (["--timeout", "nan"], "--timeout"),
+        (["--retries", "-1"], "--retries"),
+        (["--backoff", "-2"], "--backoff"),
+        (["--backoff", "nan"], "--backoff"),
+        (["--breaker", "-1"], "--breaker"),
+        (["--heartbeat-every", "-1"], "--heartbeat-every"),
+    ],
+)
+def test_experiments_rejects_bad_flags(argv, flag, capsys, tmp_path):
+    # Each value fails as it is parsed, before any run directory exists.
+    run_dir = tmp_path / "run"
+    argv = ["table1", "--quick", "--suite", "gcc", "--run-dir", str(run_dir), *argv]
+    code, stderr = run_cli(experiments_main, argv, capsys, 10.0)
+    assert_usage_error(code, stderr, flag)
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--refs", "100", "--warmup", "100"], "warmup must be in [0, n_refs)"),
+        (["--heartbeat-every", "5"], "--heartbeat-every needs --metrics"),
+    ],
+)
+def test_experiments_keeps_cross_field_checks(argv, message, capsys, tmp_path):
+    argv = ["table1", "--suite", "gcc", "--run-dir", str(tmp_path / "run"), *argv]
+    code, stderr = run_cli(experiments_main, argv, capsys, 10.0)
+    assert code == 2, stderr
+    assert message in stderr, stderr
+    assert "Traceback" not in stderr, stderr
 
 
 @pytest.mark.parametrize("argv", [["nosuchbench"], ["gcc", "nosuchbench"]])

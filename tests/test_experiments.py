@@ -98,6 +98,42 @@ class TestAccuracyTablesPinned:
         assert digest == self.DIGESTS[result.experiment_id], text
 
 
+class TestSection5TablesPinned:
+    """Table 1 and Figures 3-7, byte for byte, one digest per cell.
+
+    The digests were computed while every buffered preset ran on the
+    scalar engine's per-line objects, so any drift in the buffered
+    replay of :mod:`repro.system.vector`, or in the table formatting,
+    fails here.  The warmup makes every cell cross the measurement
+    reset with a warm buffer.
+    """
+
+    PARAMS = ExperimentParams(
+        n_refs=6_000, warmup=1_500, suite=["tomcatv", "gcc", "compress", "li"]
+    )
+    DIGESTS = {
+        "table1.main": "b99dd4a7dd68a0a58bc1d6adb8c0e24b4419d28504991c502e12e58a9afaeaa9",
+        "fig3.main": "b73a0fc7271b6a1a1067e133711e922e54a08183078d1d685be9cb1e64ccacd7",
+        "fig4.accuracy": "1af28b70fbd5077e1798004ab2140e2ad3c5871ab36f3d71c0d2824fd21a2f63",
+        "fig4.speedup": "978b700e78f3a76c23ba970e0bccf777ad45b7b113fedf4cf80c79d50ecdd314",
+        "fig5.speedup": "53835e375c13ff8d2ef7091a95f4d91ff7a7c975d615b94b768223e04d58f92b",
+        "fig5.hitrates": "6d67d4037ed353851b1c5e8fe3db1f6d9608ae31954342a8277dc649a0a752eb",
+        "fig6.amb8": "70c811029e2dc07dc4e3d605ecf2f1d1463d276fe5125e4fb62849941ffe627a",
+        "fig6.amb16": "9d6f4bf459d55f3690f392476abbae741e4673c15679198e8f468a9760dedc3c",
+        "fig7.amb8": "4f8d28ee13b38712051fa9c93cc3a91abb1ba24243857bbaac31af0d3ff986f0",
+        "fig7.amb16": "c6c22923e9e7d21734cbefe6cc3ec29a56ddd81dfbdf9a05d15839589225c9f8",
+    }
+
+    @pytest.mark.parametrize("cell", sorted(DIGESTS))
+    def test_cell_digest(self, cell):
+        from repro.harness.cells import VARIANTS
+
+        experiment, variant = cell.split(".")
+        text = format_result(VARIANTS[experiment][variant](self.PARAMS))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.DIGESTS[cell], text
+
+
 class TestFig1:
     def test_shape_and_accuracy(self):
         res = fig1_accuracy.run(ACC_PARAMS)

@@ -127,13 +127,14 @@ class TestRuntime:
 
     @pytest.mark.parametrize(
         "driver",
-        ["simulate", "simulate_vector", "simulate_pac", "simulate_shared",
-         "measure_accuracy"],
+        ["simulate", "simulate_vector", "simulate_vector_buffered",
+         "simulate_pac", "simulate_shared", "measure_accuracy"],
     )
     def test_sim_tick_fires_in_every_driver(self, driver):
         # Every driver walks the simulator's one measured window, so an
         # armed sim_tick site fires inside each of them (2500 measured
         # references here: the 1000-reference cadence, not only the end).
+        from repro.buffers import amb
         from repro.cache.geometry import CacheGeometry
         from repro.core.accuracy import measure_accuracy
         from repro.system import BASELINE, simulate, simulate_pac, simulate_shared
@@ -146,6 +147,9 @@ class TestRuntime:
                 trace, BASELINE, warmup=500, engine="scalar"
             ),
             "simulate_vector": lambda: simulate_vector(trace, BASELINE, warmup=500),
+            "simulate_vector_buffered": lambda: simulate_vector(
+                trace, amb.vic_pre_exc(), warmup=500
+            ),
             "simulate_pac": lambda: simulate_pac(trace, warmup=500),
             "simulate_shared": lambda: simulate_shared(
                 [build("go", 1_500, 0), build("li", 1_500, 0)],

@@ -1,14 +1,15 @@
-"""The vectorised engine is a byte-identical drop-in for the scalar loop.
+"""The fast engine is a byte-identical drop-in for the scalar loop.
 
 The vector engine (:mod:`repro.system.vector`) re-derives every counter
 of :class:`~repro.cache.stats.SystemStats` with set-partitioned numpy
-algebra instead of a per-reference Python loop.  Nothing here tolerates
-approximation: every test compares ``json.dumps(..., sort_keys=True)``
-of the full ``as_dict()`` tree, so a single off-by-one in any counter —
-or a float that differs in the last ulp of the timing replay — fails.
-That only bites for a counter some case makes non-zero, so
-``test_identity_cases_drive_every_counter`` checks that every counter
-is driven by at least one deterministic case.
+algebra for bufferless cells, and with the flat-state replay of
+:mod:`repro.system.buffered` for buffered cells on a direct-mapped L1.
+Nothing here tolerates approximation: every test compares
+``json.dumps(..., sort_keys=True)`` of the full ``as_dict()`` tree, so
+a single off-by-one in any counter — or a float that differs in the
+last ulp of the timing replay — fails.  That only bites for a counter
+some case makes non-zero, so ``test_identity_cases_drive_every_counter``
+checks that every counter is driven by at least one deterministic case.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from repro.buffers import amb, exclusion, prefetch, victim
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import SystemStats
+from repro.core.filters import ALL_FILTERS
 from repro.obs import events as obs_events
 from repro.obs.config import ObsConfig
 from repro.obs.metrics import flatten_counters
@@ -59,39 +62,130 @@ SUITE_WARMUPS = [0, 1, 1500]
 SUITE_ASSOCS = [2, 4, 8]
 
 
+def _buffered_presets():
+    """Every buffered Table 1 and Figure 3-7 preset, by a unique id, plus
+    4-bit MCT tags and exclusion without the MCT install."""
+    families = {
+        "table1": victim.table1_policies(),
+        "fig4": prefetch.figure4_policies(),
+        "fig5": exclusion.figure5_policies(),
+        "fig6.8": amb.figure6_policies(8),
+        "fig6.16": amb.figure6_policies(16),
+    }
+    presets = {
+        f"{family}/{policy.name}": policy
+        for family, policies in families.items()
+        for policy in policies
+        if policy.uses_buffer
+    }
+    for key in ("table1/filter both", "fig4/next-line", "fig6.16/VicPreExc"):
+        presets[f"{key}/tag4"] = replace(presets[key], mct_tag_bits=4)
+    for key in ("fig5/capacity", "fig5/conflict", "fig6.16/VicPreExc"):
+        presets[f"{key}/no-install"] = replace(
+            presets[key], mct_install_on_bypass=False
+        )
+    return presets
+
+
+BUFFERED_PRESETS = _buffered_presets()
+#: Three analogs, and the synthetic trace of :func:`synthetic_trace`.
+BUFFERED_BENCHES = ["tomcatv", "gcc", "compress", "synthetic"]
+
+#: A ROB window that outlasts an L2 fill (20 cycles are 60 instructions
+#: at the paper's issue rate), so a demand miss can complete exactly on
+#: the clock while still inside the window: the one case where the
+#: retire rule's ``completion <= clock`` differs from ``<``.
+WIDE_WINDOW_MACHINE = replace(
+    PAPER_MACHINE, timing=replace(PAPER_MACHINE.timing, rob_window=256)
+)
+
+#: (machine, warmup) of the buffered identity cases, by id.
+BUFFERED_MACHINES = {
+    "paper-w0": (PAPER_MACHINE, 0),
+    "paper-w1": (PAPER_MACHINE, 1),
+    "paper-w1500": (PAPER_MACHINE, 1500),
+    "slow-bus": (SLOW_BUS_MACHINE, 500),
+    "small-l2": (SMALL_L2_MACHINE, 500),
+    "wide-window": (WIDE_WINDOW_MACHINE, 500),
+}
+
+
 def identity_cases():
-    """(bench, machine, warmup) of every deterministic identity case."""
+    """(bench, machine, warmup, policy) of every deterministic identity case."""
     for bench in EVAL_SUITE:
         for warmup in SUITE_WARMUPS:
-            yield bench, PAPER_MACHINE, warmup
+            yield bench, PAPER_MACHINE, warmup, BASELINE
         for assoc in SUITE_ASSOCS:
-            yield bench, machine_with_assoc(assoc), 500
-        yield bench, SLOW_BUS_MACHINE, 500
-        yield bench, SMALL_L2_MACHINE, 500
+            yield bench, machine_with_assoc(assoc), 500, BASELINE
+        yield bench, SLOW_BUS_MACHINE, 500, BASELINE
+        yield bench, SMALL_L2_MACHINE, 500, BASELINE
+    for bench in BUFFERED_BENCHES:
+        for machine, warmup in BUFFERED_MACHINES.values():
+            for policy in BUFFERED_PRESETS.values():
+                yield bench, machine, warmup, policy
+
+
+def synthetic_trace(n: int = 4_000) -> Trace:
+    """Runs of eight references that drive what the analogs do not.
+
+    Every gap is 2, so each reference is exactly one cycle and the clock
+    lands on completion times.  The runs cycle through four patterns:
+
+    * two blocks of one set taking turns: a victim cache swaps them back
+      and forth, and each swap waits for the previous one's L1 bank;
+    * a sequential stream, touching each block three times: prefetch
+      hits;
+    * regions 1 MB apart, which share MAT slots: the MAT's replacement
+      halving decides bypasses;
+    * every other block: back-to-back misses, each with a prefetch that
+      is never used, fill the MSHRs.
+    """
+    sets = PAPER_MACHINE.l1.num_sets
+    blocks = []
+    for i in range(n):
+        run, k = divmod(i, 8)
+        kind = run % 4
+        if kind == 0:
+            blocks.append(run % 16 + sets * (1 + k % 2))
+        elif kind == 1:
+            blocks.append(4096 + (i // 3) % 2048)
+        elif kind == 2:
+            blocks.append((1 << 14) * (1 + k % 4) + (run * 7) % 64)
+        else:
+            blocks.append(8192 + 2 * i)
+    return Trace(
+        [block * 64 for block in blocks],
+        is_load=[i % 5 != 0 for i in range(n)],
+        gaps=[2] * n,
+        name="synthetic",
+    )
 
 
 @lru_cache(maxsize=None)
 def suite_trace(bench: str) -> Trace:
-    return build(bench, 6_000, 0)
+    return synthetic_trace() if bench == "synthetic" else build(bench, 6_000, 0)
 
 
 @lru_cache(maxsize=None)
-def scalar_suite_run(bench: str, machine: MachineConfig, warmup: int) -> SystemStats:
+def scalar_suite_run(
+    bench: str, machine: MachineConfig, warmup: int, policy: AssistConfig = BASELINE
+) -> SystemStats:
     """The scalar reference on one identity case, shared by the identity
     tests and the coverage test (callers must not mutate the result)."""
-    return simulate(suite_trace(bench), BASELINE, machine, warmup=warmup, engine="scalar")
+    return simulate(suite_trace(bench), policy, machine, warmup=warmup, engine="scalar")
 
 
-def assert_identity(bench: str, machine: MachineConfig, warmup: int) -> None:
-    vector = simulate(suite_trace(bench), BASELINE, machine, warmup=warmup, engine="vector")
-    assert canon(vector) == canon(scalar_suite_run(bench, machine, warmup))
+def assert_identity(
+    bench: str, machine: MachineConfig, warmup: int, policy: AssistConfig = BASELINE
+) -> None:
+    vector = simulate(suite_trace(bench), policy, machine, warmup=warmup, engine="vector")
+    assert canon(vector) == canon(scalar_suite_run(bench, machine, warmup, policy))
 
 
 def undriven_by_design(path: str) -> bool:
-    """Counters no identity case can drive, for RPR070's old reasons: the
-    vector engine runs bufferless cells only, and the L2 is modelled
-    tag-only, so it never holds a dirty line to write back."""
-    return path.startswith("buffer.") or path == "l2.writebacks"
+    """Counters no identity case can drive: the L2 is modelled tag-only,
+    so it never holds a dirty line to write back."""
+    return path == "l2.writebacks"
 
 
 #: References as (block, is_load, gap) so the random traces exercise the
@@ -122,6 +216,26 @@ def make_trace(refs) -> Trace:
 
 # Each shrink step builds a scalar MemorySystem: a divergence shrinks for minutes.
 NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+filters = st.one_of(st.none(), st.sampled_from(ALL_FILTERS))
+
+#: Any buffered policy: every mix of victim fills, fill filter, swap and
+#: no-swap filter, prefetch with or without its filter, and every
+#: exclusion mode, with or without the MCT install and partial tags.
+buffered_policies = st.builds(
+    AssistConfig,
+    name=st.just("random"),
+    buffer_entries=st.integers(min_value=1, max_value=16),
+    victim_fills=st.booleans(),
+    victim_fill_filter=filters,
+    victim_swap=st.booleans(),
+    victim_no_swap_filter=filters,
+    prefetch=st.booleans(),
+    prefetch_filter=filters,
+    exclusion=st.one_of(st.none(), st.sampled_from(list(ExclusionMode))),
+    mct_install_on_bypass=st.booleans(),
+    mct_tag_bits=st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+)
 
 
 class TestByteIdentity:
@@ -199,6 +313,29 @@ class TestByteIdentity:
     def test_suite_benchmarks_small_l2(self, bench):
         assert_identity(bench, SMALL_L2_MACHINE, 500)
 
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+    @given(refs=sim_refs, policy=buffered_policies, data=st.data())
+    def test_random_buffered_policies(self, refs, policy, data):
+        # The buffered replay against the scalar MemorySystem, over any
+        # AssistConfig, random traces and warmups.
+        warmup = data.draw(st.integers(min_value=0, max_value=len(refs) - 1))
+        machine = data.draw(
+            st.sampled_from(
+                [PAPER_MACHINE, SLOW_BUS_MACHINE, SMALL_L2_MACHINE, WIDE_WINDOW_MACHINE]
+            )
+        )
+        trace = make_trace(refs)
+        scalar = simulate(trace, policy, machine, warmup=warmup, engine="scalar")
+        vector = simulate_vector(trace, policy, machine, warmup=warmup)
+        assert canon(vector) == canon(scalar)
+
+    @pytest.mark.parametrize("bench", BUFFERED_BENCHES)
+    @pytest.mark.parametrize("case", sorted(BUFFERED_MACHINES))
+    @pytest.mark.parametrize("preset", sorted(BUFFERED_PRESETS))
+    def test_buffered_presets(self, preset, case, bench):
+        machine, warmup = BUFFERED_MACHINES[case]
+        assert_identity(bench, machine, warmup, BUFFERED_PRESETS[preset])
+
     def test_identity_cases_drive_every_counter(self):
         # Byte identity only proves a counter's vector-side write when
         # some case makes the counter non-zero.  The path list comes
@@ -240,16 +377,21 @@ class TestByteIdentity:
                 assert np.array_equal(a, b), (name, tag_bits)
 
 
+#: A buffered cell the fast engine declines: its L1 is 2-way.
+ASSOC_L1 = machine_with_assoc(2)
+
+
 class TestEngineDispatch:
     def test_vector_supported_gating(self):
-        from repro.buffers import victim
-
         assert vector_supported(BASELINE, PAPER_MACHINE)
-        # Any assist buffer disqualifies the cell (per-reference buffer
-        # state is inherently sequential)...
-        assert not vector_supported(victim.filter_both(), PAPER_MACHINE)
-        # ...but a set-associative L1 no longer does: the general pass
-        # replays per-set LRU with stack distances.
+        # A buffered cell runs the buffered replay on a direct-mapped L1...
+        assert vector_supported(victim.filter_both(), PAPER_MACHINE)
+        assert vector_supported(amb.vic_pre_exc(16), SLOW_BUS_MACHINE)
+        # ...but not beside an associative one, which the replay's one
+        # resident block per set cannot model.
+        assert not vector_supported(victim.filter_both(), ASSOC_L1)
+        # A set-associative L1 never disqualifies a bufferless cell: the
+        # general pass replays per-set LRU with stack distances.
         l2ish = replace(PAPER_MACHINE, l1=PAPER_MACHINE.l2)
         assert vector_supported(BASELINE, l2ish)
         assert vector_supported(BASELINE, machine_with_assoc(8))
@@ -266,14 +408,18 @@ class TestEngineDispatch:
     )
     def test_ineligibility_blames_the_feature(self, policy_kwargs, expect):
         policy = AssistConfig(name="culprit", buffer_entries=4, **policy_kwargs)
-        reason = vector_ineligibility(policy, PAPER_MACHINE)
+        assert vector_ineligibility(policy, PAPER_MACHINE) is None
+        reason = vector_ineligibility(policy, machine_with_assoc(4))
         assert reason is not None
         assert expect in reason
         assert "'culprit'" in reason
+        assert "4-way L1" in reason
 
     def test_eligible_policy_has_no_ineligibility_reason(self):
         assert vector_ineligibility(BASELINE, PAPER_MACHINE) is None
         assert vector_ineligibility(BASELINE, machine_with_assoc(4)) is None
+        for policy in BUFFERED_PRESETS.values():
+            assert vector_ineligibility(policy, PAPER_MACHINE) is None
 
     def test_unknown_engine_rejected(self):
         trace = build("gcc", 100, 0)
@@ -283,28 +429,40 @@ class TestEngineDispatch:
     def test_vector_demand_raises_with_blame(self):
         # engine="vector" is a demand, not a preference: an ineligible
         # cell must fail loudly and say which feature forced scalar.
-        from repro.buffers import victim
-
         trace = build("gcc", 2_000, 0)
+        policy = victim.filter_both()
+        reason = vector_ineligibility(policy, ASSOC_L1)
         with pytest.raises(ValueError, match="assist buffer") as excinfo:
-            simulate(trace, victim.filter_both(), warmup=100, engine="vector")
+            simulate(trace, policy, ASSOC_L1, warmup=100, engine="vector")
+        assert reason in str(excinfo.value)
         assert "engine='auto'" in str(excinfo.value)
 
     def test_simulate_vector_raises_with_blame(self):
-        from repro.buffers import victim
-
         trace = build("gcc", 500, 0)
         with pytest.raises(ValueError, match="not vector-eligible"):
-            simulate_vector(trace, victim.filter_both(), warmup=0)
+            simulate_vector(trace, victim.filter_both(), ASSOC_L1, warmup=0)
 
     def test_auto_falls_back_for_unsupported_policy(self):
-        from repro.buffers import victim
-
         trace = build("gcc", 2_000, 0)
         policy = victim.filter_both()
-        auto = simulate(trace, policy, warmup=100, engine="auto")
-        scalar = simulate(trace, policy, warmup=100, engine="scalar")
+        auto = simulate(trace, policy, ASSOC_L1, warmup=100, engine="auto")
+        scalar = simulate(trace, policy, ASSOC_L1, warmup=100, engine="scalar")
         assert canon(auto) == canon(scalar)
+
+    def test_auto_runs_buffered_replay_on_direct_mapped_l1(self, monkeypatch):
+        # engine="auto" and engine="vector" both take the buffered
+        # replay; the scalar MemorySystem is never built.
+        import repro.system.simulator as simulator
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scalar engine ran a buffered cell")
+
+        trace = build("gcc", 2_000, 0)
+        scalar = simulate(trace, amb.vic_pre_exc(), warmup=100, engine="scalar")
+        monkeypatch.setattr(simulator, "MemorySystem", refuse)
+        for engine in ("auto", "vector"):
+            fast = simulate(trace, amb.vic_pre_exc(), warmup=100, engine=engine)
+            assert canon(fast) == canon(scalar)
 
 
 class TestInstrumentedCampaign:
@@ -359,25 +517,48 @@ class TestInstrumentedCampaign:
             sc_path
         )
 
-    def test_auto_fallback_emits_blame_event(self, tmp_path):
-        from repro.buffers import victim
+    @pytest.mark.parametrize("heartbeat_every", [512, 700])
+    @pytest.mark.parametrize(
+        "policy", [victim.filter_both(), amb.vic_pre_exc()], ids=lambda p: p.name
+    )
+    def test_event_streams_identical_buffered(self, tmp_path, policy, heartbeat_every):
+        # The buffered replay's chunks land on the scalar driver's
+        # boundaries: same heartbeats, same counters, same sim_end.
+        runs = {
+            engine: self._run(
+                tmp_path, engine, heartbeat_every, policy=policy, tag="_buffered"
+            )
+            for engine in ("vector", "scalar")
+        }
+        (vec_path, vec_stats), (sc_path, sc_stats) = runs["vector"], runs["scalar"]
+        assert canon(vec_stats) == canon(sc_stats)
+        vec_events = self._canonical_events(vec_path)
+        assert vec_events == self._canonical_events(sc_path)
+        assert [e for e in vec_events if e["type"] == "heartbeat"]
+        events, _ = validate_lines(vec_path.read_text().splitlines())
+        assert reconcile_events(events) == (1, [])
 
+    def test_auto_fallback_emits_blame_event(self, tmp_path):
         policy = victim.filter_both()
-        path, _ = self._run(tmp_path, "auto", policy=policy, tag="_fallback")
+        path, _ = self._run(
+            tmp_path, "auto", policy=policy, machine=ASSOC_L1, tag="_fallback"
+        )
         events, problems = validate_lines(path.read_text().splitlines())
         assert problems == []
         falls = [e for e in events if e["type"] == "engine_fallback"]
         assert len(falls) == 1
         assert falls[0]["policy"] == policy.name
         assert "assist buffer" in falls[0]["reason"]
+        assert "2-way L1" in falls[0]["reason"]
         # The extra event must not break stream reconciliation.
         assert reconcile_events(events) == (1, [])
 
     def test_eligible_auto_run_emits_no_fallback_event(self, tmp_path):
-        path, _ = self._run(tmp_path, "auto", tag="_eligible")
-        events, problems = validate_lines(path.read_text().splitlines())
-        assert problems == []
-        assert [e for e in events if e["type"] == "engine_fallback"] == []
+        for policy in (BASELINE, victim.filter_both()):
+            path, _ = self._run(tmp_path, "auto", policy=policy, tag=policy.name)
+            events, problems = validate_lines(path.read_text().splitlines())
+            assert problems == []
+            assert [e for e in events if e["type"] == "engine_fallback"] == []
 
     def test_validate_reconcile_cli_passes(self, tmp_path, capsys):
         path, _ = self._run(tmp_path, "vector")
