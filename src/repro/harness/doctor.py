@@ -18,18 +18,21 @@ repair without re-running anything:
   (never deleted: they are evidence), their registry entries dropped;
 * valid artifacts the manifest does not know about (crash between the
   artifact write and the checksum registration) — re-registered;
-* a torn ``events.jsonl`` tail — truncated; unparseable lines and
-  events from simulations that never closed (the killed attempt's
-  remnants) — dropped, preserving every surviving line's exact bytes;
+* a torn ``events.jsonl`` tail — truncated; unparseable lines, lines
+  holding bytes that are not UTF-8 (named by byte offset) and events
+  from simulations that never closed (the killed attempt's remnants) —
+  dropped, preserving every surviving line's exact bytes;
 * a missing or torn ``report.json`` — rebuilt from the manifest's cell
   plan plus the surviving artifacts' origin stubs.
 
 The verdict is ``CLEAN`` (nothing to do), ``REPAIRED`` (or
-``REPAIRABLE`` under ``--dry-run``), or ``CORRUPT`` — the manifest is
-unrecoverable, so the directory cannot be resumed and the campaign must
-start over.  After a successful repair, ``--resume`` re-runs exactly the
-lost cells and the recovered directory converges byte-for-byte with a
-fault-free run (the crash-matrix tests assert this end to end).
+``REPAIRABLE`` under ``--dry-run``), or ``CORRUPT`` — neither
+``manifest.json`` nor its backup holds the schema and valid params a
+resume needs, so the directory cannot be resumed, the doctor leaves it
+as it found it, and the campaign must start over.  After a successful
+repair, ``--resume`` re-runs exactly the lost cells and the recovered
+directory converges byte-for-byte with a fault-free run (the
+crash-matrix tests assert this end to end).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, cast
 
+from repro.experiments.base import ExperimentParams
 from repro.harness.checkpoint import (
     SCHEMA_VERSION,
     RunDirectory,
@@ -48,7 +52,7 @@ from repro.harness.checkpoint import (
 )
 from repro.harness.durable import atomic_write_text
 from repro.harness.report import REPORT_SCHEMA_VERSION, CellStatus
-from repro.obs.validate import split_torn_tail
+from repro.obs.validate import is_utf8, not_utf8, read_events, split_torn_tail
 
 VERDICT_CLEAN = "CLEAN"
 VERDICT_REPAIRED = "REPAIRED"
@@ -89,14 +93,34 @@ class Diagnosis:
         return 0
 
 
-def _load_json(path: Path) -> Optional[Dict[str, object]]:
+def _load_json(path: Path, diag: Diagnosis) -> Optional[Dict[str, object]]:
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        diag.problems.append(f"{path.name}: {not_utf8(exc)}")
+        return None
     except (OSError, json.JSONDecodeError):
         return None
     if not isinstance(payload, dict):
         return None
     return cast(Dict[str, object], payload)
+
+
+def _resumable(doc: Optional[Dict[str, object]]) -> bool:
+    """True when :meth:`RunDirectory.prepare` could resume from ``doc``.
+
+    That takes the current schema and the params of a valid
+    :class:`ExperimentParams`, which ``prepare`` compares with its own.
+    """
+    if doc is None or doc.get("schema") != SCHEMA_VERSION:
+        return False
+    params = doc.get("params")
+    if not isinstance(params, dict):
+        return False
+    try:
+        return ExperimentParams.from_dict(params).to_dict() == params
+    except (KeyError, TypeError, ValueError):
+        return False
 
 
 def _quarantine(run: RunDirectory, path: Path, apply: bool) -> Path:
@@ -124,28 +148,33 @@ def _remove_tmp_files(run: RunDirectory, diag: Diagnosis, apply: bool) -> None:
 def _recover_manifest(
     run: RunDirectory, diag: Diagnosis, apply: bool
 ) -> Optional[Dict[str, object]]:
-    """A usable manifest document, repairing from backup if needed."""
+    """A usable manifest document, repairing from backup if needed.
 
-    def usable(doc: Optional[Dict[str, object]]) -> bool:
-        return doc is not None and doc.get("schema") == SCHEMA_VERSION
-
-    current = _load_json(run.manifest_path) if run.manifest_path.exists() else None
-    if usable(current):
+    A manifest no backup can replace is left where it is: the directory
+    is corrupt, and the doctor writes nothing there.
+    """
+    current = (
+        _load_json(run.manifest_path, diag)
+        if run.manifest_path.exists()
+        else None
+    )
+    if _resumable(current):
         return current
     backup = (
-        _load_json(run.manifest_backup_path)
+        _load_json(run.manifest_backup_path, diag)
         if run.manifest_backup_path.exists()
         else None
     )
     if run.manifest_path.exists():
         diag.problems.append(
-            "manifest.json is torn or has an unknown schema"
+            "manifest.json is torn, has an unknown schema or lacks valid params"
         )
-        quarantined = _quarantine(run, run.manifest_path, apply)
-        diag.repair(f"quarantined bad manifest as {quarantined.name}")
     else:
         diag.problems.append("manifest.json is missing")
-    if usable(backup):
+    if _resumable(backup):
+        if run.manifest_path.exists():
+            quarantined = _quarantine(run, run.manifest_path, apply)
+            diag.repair(f"quarantined bad manifest as {quarantined.name}")
         if apply:
             atomic_write_text(
                 run.manifest_path,
@@ -180,12 +209,17 @@ def _audit_cells(
     surviving: Dict[str, str] = {}
     if run.cell_dir().is_dir():
         for path in sorted(run.cell_dir().glob("*.json")):
+            payload: Optional[Dict[str, object]]
+            problem: Optional[str]
             try:
-                text = path.read_text()
+                text = path.read_text(encoding="utf-8")
             except OSError as exc:  # pragma: no cover - unreadable file
                 diag.problems.append(f"cells/{path.name}: unreadable ({exc})")
                 continue
-            payload, problem = verify_artifact_text(text)
+            except UnicodeDecodeError as exc:
+                payload, problem = None, not_utf8(exc)
+            else:
+                payload, problem = verify_artifact_text(text)
             if payload is None or problem is None and "cell" not in payload:
                 problem = problem or "artifact carries no cell id"
             if problem is not None:
@@ -259,7 +293,9 @@ def _repair_events(run: RunDirectory, diag: Diagnosis, apply: bool) -> None:
     events_path = run.path / "events.jsonl"
     if not events_path.exists():
         return
-    text = events_path.read_text()
+    text, undecodable = read_events(events_path)
+    if undecodable:
+        diag.problems.append(f"events.jsonl: {undecodable}")
     lines, torn_warning = split_torn_tail(text)
     if torn_warning:
         diag.problems.append(f"events.jsonl: {torn_warning.split(' (')[0]}")
@@ -267,9 +303,13 @@ def _repair_events(run: RunDirectory, diag: Diagnosis, apply: bool) -> None:
     kept: List[str] = []
     parsed: List[Optional[Dict[str, object]]] = []
     dropped_unparseable = 0
+    dropped_undecodable = 0
     recovered_suffixes = 0
     for line in lines:
         if not line.strip():
+            continue
+        if undecodable and not is_utf8(line):
+            dropped_undecodable += 1
             continue
         try:
             event = json.loads(line)
@@ -293,6 +333,11 @@ def _repair_events(run: RunDirectory, diag: Diagnosis, apply: bool) -> None:
             continue
         kept.append(line)
         parsed.append(cast(Dict[str, object], event))
+    if dropped_undecodable:
+        diag.repair(
+            f"dropped {dropped_undecodable} line(s) holding bytes that are "
+            "not UTF-8"
+        )
     if dropped_unparseable:
         diag.problems.append(
             f"events.jsonl: {dropped_unparseable} torn/unparseable "
@@ -353,7 +398,7 @@ def _rebuild_report(
     apply: bool,
 ) -> None:
     existing = (
-        _load_json(run.report_path) if run.report_path.exists() else None
+        _load_json(run.report_path, diag) if run.report_path.exists() else None
     )
     have = set(diag.cells_intact)
     if (
@@ -418,11 +463,11 @@ def diagnose(run_dir: Path, *, apply: bool = True) -> Diagnosis:
     """One full doctor pass over ``run_dir``; repairs unless ``apply=False``."""
     run = RunDirectory(run_dir)
     diag = Diagnosis(run_dir=str(run_dir))
-    _remove_tmp_files(run, diag, apply)
     manifest = _recover_manifest(run, diag, apply)
     if manifest is None:
         diag.verdict = VERDICT_CORRUPT
         return diag
+    _remove_tmp_files(run, diag, apply)
     manifest_changed = _audit_cells(run, manifest, diag, apply)
     if manifest_changed:
         if apply:
@@ -459,7 +504,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
-        print(f"doctor: no such run directory: {run_dir}", file=sys.stderr)
+        what = "not a directory" if run_dir.exists() else "no such run directory"
+        print(f"doctor: {what}: {run_dir}", file=sys.stderr)
         return 2
     diag = diagnose(run_dir, apply=not args.dry_run)
 

@@ -34,6 +34,7 @@ from repro.mrc.stack import (
     _log2,
     compute_profile,
     set_lru_flags,
+    set_order,
 )
 
 
@@ -102,7 +103,7 @@ def decompose_size(
         )
     block_array = np.asarray(blocks, dtype=np.int64)
     sets = block_array & (num_sets - 1)
-    order = np.argsort(sets, kind="stable")
+    order = set_order(sets, num_sets)
     hit, _ = set_lru_flags(block_array[order], sets[order], assoc)
     distances = profile.distances[order]
     miss = ~hit

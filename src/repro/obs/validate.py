@@ -27,6 +27,36 @@ from repro.obs.events import EVENT_SCHEMA, REQUIRED_FIELDS
 from repro.obs.metrics import Number, reconcile
 
 
+def read_events(path: Path) -> Tuple[str, Optional[str]]:
+    """An events stream's text, and where it first stops being UTF-8.
+
+    Events are written as ASCII JSON, so a byte that is not UTF-8 is
+    corruption, never a torn append.  The text keeps such bytes as lone
+    surrogates (``surrogateescape``), so every line keeps its place; the
+    second item names the byte offset of the first one, or is ``None``
+    for a clean stream.
+    """
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        return data.decode("utf-8", "surrogateescape"), not_utf8(exc)
+
+
+def not_utf8(exc: UnicodeDecodeError) -> str:
+    """The problem text for a decode error: where the bad byte sits."""
+    return f"byte offset {exc.start} is not UTF-8"
+
+
+def is_utf8(line: str) -> bool:
+    """False for a line of :func:`read_events` text holding undecodable bytes."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def split_torn_tail(text: str) -> Tuple[List[str], Optional[str]]:
     """Split an events stream, dropping a torn final line if present.
 
@@ -213,14 +243,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     path = Path(args.events)
+    if path.is_dir():
+        print(
+            f"validate: is a directory, not an events file: {path}",
+            file=sys.stderr,
+        )
+        return 2
     if not path.is_file():
         print(f"validate: no such file: {path}", file=sys.stderr)
         return 2
 
-    lines, torn_warning = split_torn_tail(path.read_text())
+    text, undecodable = read_events(path)
+    lines, torn_warning = split_torn_tail(text)
     if torn_warning:
         print(f"validate: warning: {torn_warning}", file=sys.stderr)
     events, problems = validate_lines(lines)
+    if undecodable:
+        problems.insert(0, f"{path}: {undecodable}")
     sims_checked = 0
     if args.reconcile and not problems:
         sims_checked, reconcile_problems = reconcile_events(events)

@@ -14,8 +14,8 @@ The engine is exact, not approximate: for every eligible run its
 engine's (``as_dict()`` compares equal, and serialises to the same JSON
 bytes).  The passes below serve the bufferless hierarchy at any
 power-of-two L1 associativity: direct-mapped sets take the
-shift-compare fast path, wider sets a per-segment LRU replay built from
-the same Mattson machinery as the L2 pass.  An assist buffer keeps
+shift-compare fast path, wider sets a per-segment LRU replay built on
+the same set-LRU kernel as the L2 pass.  An assist buffer keeps
 cross-set, fully-associative state whose decisions feed back into the
 L1 and the MCT, so :func:`simulate_vector` hands buffered cells to the
 flat-state replay of :mod:`repro.system.buffered` instead, which models
@@ -26,8 +26,9 @@ Pass structure
 --------------
 
 1. **L1 + MCT** (:func:`l1_pass`) — one stable argsort of the trace by
-   L1 set index.  Each set's reference subsequence is then a contiguous,
-   in-order segment of the sorted stream, and all per-set state (the
+   L1 set index (:func:`repro.mrc.stack.set_order`, a radix sort on a
+   ``uint16`` key).  Each set's reference subsequence is then a
+   contiguous, in-order segment of the sorted stream, and all per-set state (the
    resident tags, the lines' dirty bits, the MCT entry) becomes
    expressible as shifted comparisons and prefix sums within segments.
    Direct-mapped (``assoc == 1``, :func:`_l1_direct_mapped_pass`), with
@@ -46,10 +47,12 @@ Pass structure
    Set-associative (``assoc > 1``, :func:`_l1_set_assoc_pass`): hits
    and evictions come from the shared set-LRU pass
    (:func:`repro.mrc.stack.set_lru_flags` — stack distance ≤ assoc,
-   eviction once the set is full), and victim *identity* from the
-   deaths-FIFO pairing: call an occurrence a **death** when it is the
-   final touch of one residency of its block (its next same-segment
-   occurrence re-misses, or never happens).  In set-LRU the victim of
+   eviction once the set is full; at 2 ways a closed form over the
+   references that change block, with no stack pass), and victim
+   *identity* from the deaths-FIFO pairing: call an occurrence a
+   **death** when it is the final touch of one residency of its block
+   (its next same-segment occurrence re-misses, or never happens).  In
+   set-LRU the victim of
    a segment's k-th eviction is exactly the segment's k-th death in
    position order — an eviction victim is necessarily dead, the LRU
    choice picks the oldest last-touch among residents, and a non-dead
@@ -58,8 +61,10 @@ Pass structure
    MCT entries then read off the victim positions with cumsums.
 
 2. **L2** — the L1 miss stream, stably sorted by L2 set index, priced
-   with the exact Mattson stack distances of :mod:`repro.mrc.stack`
-   (set-LRU of associativity A hits ⇔ stack distance ≤ A).
+   by the same :func:`repro.mrc.stack.set_lru_flags` (set-LRU of
+   associativity A hits ⇔ stack distance ≤ A).  The paper's L2 is
+   2-way, so this pass is the closed form: a reference that changes
+   block hits iff it equals the block two changes back in its set.
 
 3. **Timing replay** — the cross-set sequence (bus, MSHRs, ROB window)
    is inherently serial in trace order, so it is replayed in
@@ -85,7 +90,7 @@ import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import SystemStats, TimingStats
-from repro.mrc.stack import set_lru_flags
+from repro.mrc.stack import set_lru_flags, set_order
 from repro.system.config import MachineConfig, PAPER_MACHINE, TimingConfig
 from repro.system.policies import AssistConfig
 from repro.system.simulator import MeasuredWindow, check_warmup, system_beat
@@ -159,7 +164,7 @@ def _l1_direct_mapped_pass(
     n = int(len(blocks))
     mask = mct_tag_mask(tag_bits)
     sets = blocks & (geometry.num_sets - 1)
-    order = np.argsort(sets, kind="stable")
+    order = set_order(sets, geometry.num_sets)
     b = blocks[order]
     s = sets[order]
 
@@ -250,25 +255,25 @@ def _l1_set_assoc_pass(
     residency's fill and its death.  At ``assoc == 1`` this reproduces
     the direct-mapped pass exactly (pinned by a test), but the
     shift-compare pass stays the dispatch choice there — it needs no
-    stack-distance pass.
+    victim pairing and resumes chunk by chunk.
     """
     n = int(len(blocks))
     mask = mct_tag_mask(tag_bits)
     sets = blocks & (geometry.num_sets - 1)
-    order = np.argsort(sets, kind="stable")
+    order = set_order(sets, geometry.num_sets)
     b = blocks[order]
     s = sets[order]
 
     hit_s, evict_s = set_lru_flags(b, s, geometry.assoc)
     miss_s = ~hit_s
 
-    # Block-run order: stable sort by block id keeps each block's
+    # Block-run order: a stable sort by block keeps each block's
     # occurrences (all in one segment — a block has one set) contiguous
     # and position-ascending, chaining every occurrence to its next.
-    _, ids = np.unique(b, return_inverse=True)
-    run_order = np.argsort(ids, kind="stable")
+    run_order = np.argsort(b, kind="stable")
+    run_blocks = b[run_order]
     nxt = np.full(n, n, dtype=np.int64)
-    same_run = ids[run_order][1:] == ids[run_order][:-1]
+    same_run = run_blocks[1:] == run_blocks[:-1]
     nxt[run_order[:-1]] = np.where(same_run, run_order[1:], n)
     # A death ends one residency: the block's next touch re-misses, or
     # never comes (index n hits the appended True).
@@ -356,7 +361,7 @@ def _l2_pass(
         return hit_at, evict_at
     mb = blocks[stream]
     sets = mb & (geometry.num_sets - 1)
-    order = np.argsort(sets, kind="stable")
+    order = set_order(sets, geometry.num_sets)
     hit_s, evict_s = set_lru_flags(mb[order], sets[order], geometry.assoc)
 
     hit_m = np.empty(k, dtype=bool)

@@ -4,6 +4,10 @@ Each CLI checks its flags as they are parsed, with the same code the
 library runs the values through (``ServeConfig``, ``parse_plan``, the
 SHARDS estimator, the workload generator's name check), so a bad value
 never surfaces as a traceback from inside the run or as a hang.
+
+The run-directory tools (``doctor``, ``obs.validate``) meet hostile
+files instead: bytes that are not UTF-8 are corruption, named by file
+and byte offset, and each tool still ends with its usual verdict.
 """
 
 from __future__ import annotations
@@ -13,9 +17,14 @@ from typing import Callable, List, Tuple
 
 import pytest
 
+from repro.experiments.base import ExperimentParams, ExperimentResult
 from repro.experiments.runner import main as experiments_main
 from repro.harness import bench
+from repro.harness.checkpoint import RunDirectory
+from repro.harness.doctor import diagnose
+from repro.harness.doctor import main as doctor_main
 from repro.mrc.cli import main as mrc_main
+from repro.obs.validate import main as validate_main
 from repro.serve.__main__ import main as serve_main
 from repro.serve.loadgen import main as loadgen_main
 from repro.workloads.validation import main as validation_main
@@ -192,3 +201,113 @@ def test_bench_rejects_bad_baseline_before_timing(
     code, stderr = run_cli(bench.main, argv, capsys, 10.0)
     assert_usage_error(code, stderr, "--check-against")
     assert not (tmp_path / "out.json").exists()
+
+
+# ----------------------------------------------------------------------
+# Run-directory tools: undecodable bytes and misread arguments
+# ----------------------------------------------------------------------
+EVENT = (
+    '{"pid": 1, "refs_done": 1, "refs_per_sec": 1.0, "schema": 1, '
+    '"sim": "s", "ts": 0, "type": "heartbeat"}'
+)
+#: Byte offset of the \xff below: one event line, then two ASCII bytes.
+BAD_OFFSET = len(EVENT) + 1 + 2
+
+
+def events_with_bad_byte(path):
+    path.write_bytes(
+        EVENT.encode() + b'\n{"\xff": 1}\n' + EVENT.encode() + b"\n"
+    )
+
+
+def run_directory(path):
+    run = RunDirectory(path)
+    params = ExperimentParams(n_refs=4_000, warmup=1_000, suite=["gcc"])
+    run.prepare(params, resume=False, cells=["a.main"])
+    result = ExperimentResult(
+        experiment_id="toy", title="toy", headers=["b", "v"], rows=[["gcc", 1]]
+    )
+    run.save_cell("a.main", result)
+    run.save_report({"schema": 2, "cells": [], "summary": {}, "ok": True})
+    return run
+
+
+def snapshot(path):
+    return {
+        str(p.relative_to(path)): p.read_bytes()
+        for p in sorted(path.rglob("*"))
+        if p.is_file()
+    }
+
+
+def test_validate_names_the_undecodable_byte(capsys, tmp_path):
+    events = tmp_path / "events.jsonl"
+    events_with_bad_byte(events)
+    code, stderr = run_cli(validate_main, [str(events)], capsys, 10.0)
+    assert code == 1, stderr
+    assert f"{events}: byte offset {BAD_OFFSET} is not UTF-8" in stderr
+    assert "validate: FAIL" in stderr
+    assert "Traceback" not in stderr
+
+
+def test_validate_calls_a_directory_a_directory(capsys, tmp_path):
+    code, stderr = run_cli(validate_main, [str(tmp_path)], capsys, 10.0)
+    assert code == 2, stderr
+    assert "is a directory" in stderr and "no such file" not in stderr
+
+
+def test_doctor_calls_a_file_not_a_directory(capsys, tmp_path):
+    events = tmp_path / "events.jsonl"
+    events.write_text(EVENT + "\n")
+    code, stderr = run_cli(doctor_main, [str(events)], capsys, 10.0)
+    assert code == 2, stderr
+    assert "not a directory" in stderr and "no such" not in stderr
+
+
+def test_doctor_drops_event_lines_that_are_not_utf8(capsys, tmp_path):
+    run_directory(tmp_path)
+    events = tmp_path / "events.jsonl"
+    events_with_bad_byte(events)
+    assert doctor_main([str(tmp_path), "--dry-run"]) == 1
+    out = capsys.readouterr().out
+    assert f"events.jsonl: byte offset {BAD_OFFSET} is not UTF-8" in out
+    assert "doctor: REPAIRABLE" in out
+    assert doctor_main([str(tmp_path)]) == 0
+    assert "doctor: REPAIRED" in capsys.readouterr().out
+    assert events.read_bytes() == (EVENT + "\n" + EVENT + "\n").encode()
+
+
+def test_doctor_quarantines_an_undecodable_artifact(tmp_path):
+    run = run_directory(tmp_path)
+    artifact = run.cell_path("a.main")
+    artifact.write_bytes(b"{\xfe" + artifact.read_bytes()[1:])
+    diag = diagnose(tmp_path)
+    assert "cells/a.main.json: byte offset 1 is not UTF-8" in diag.problems
+    assert diag.cells_lost == ["a.main"]
+    assert (run.quarantine_path / "a.main.json").exists()
+
+
+@pytest.mark.parametrize(
+    ("manifest", "problem"),
+    [
+        (b'{"schema": 2, "\xff": 0}', "manifest.json: byte offset 15 is not UTF-8"),
+        # No params: RunDirectory.prepare could never match them.
+        (b'{"schema": 2}', "lacks valid params"),
+        (b'{"schema": 2, "params": {"n_refs": 0}}', "lacks valid params"),
+    ],
+    ids=["undecodable", "no-params", "invalid-params"],
+)
+def test_doctor_calls_an_unresumable_manifest_corrupt(
+    manifest, problem, capsys, tmp_path
+):
+    run = run_directory(tmp_path)
+    run.manifest_backup_path.unlink()
+    run.report_path.unlink()
+    run.manifest_path.write_bytes(manifest)
+    (tmp_path / "report.json.tmp").write_text("{")
+    before = snapshot(tmp_path)
+    assert doctor_main([str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert problem in out
+    assert "doctor: CORRUPT" in out
+    assert snapshot(tmp_path) == before

@@ -45,12 +45,20 @@ from repro.mrc.cli import main as mrc_main
 from repro.mrc.curve import MissRatioCurve
 from repro.mrc.decompose import ConflictSplit
 from repro.mrc.sampling import SampleResult, hash_blocks
-from repro.mrc.stack import _Fenwick, set_lru_flags, stack_distances
+from repro.mrc.stack import _Fenwick, set_lru_flags, set_order
 from repro.workloads.spec_analogs import EVAL_SUITE, build
 
 # Small universes so short traces still collide and revisit.
 blocks = st.integers(min_value=0, max_value=63)
 block_lists = st.lists(blocks, min_size=0, max_size=300)
+# Runs of one block: a uniform draw repeats the previous block 1 time in
+# 64, so the stack layer's continuation paths need their own strategy.
+run_lists = st.lists(
+    st.tuples(blocks, st.integers(min_value=1, max_value=20)), max_size=40
+).map(lambda runs: [block for block, length in runs for _ in range(length)])
+STREAMS = pytest.mark.parametrize(
+    "stream", [block_lists, run_lists], ids=["uniform", "runs"]
+)
 
 LINE = 64
 
@@ -155,10 +163,11 @@ def reference_shards(
 # Stack engine: vectorised == Fenwick reference == FA-LRU simulation
 # ----------------------------------------------------------------------
 class TestStackEngine:
-    @given(block_lists)
+    @STREAMS
+    @given(data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_vectorised_matches_fenwick_reference(self, refs):
-        addrs = addresses_from_blocks(refs)
+    def test_vectorised_matches_fenwick_reference(self, stream, data):
+        addrs = addresses_from_blocks(data.draw(stream))
         fast = compute_profile(addrs, LINE)
         slow = compute_profile_reference(addrs, LINE)
         assert fast.cold_misses == slow.cold_misses
@@ -173,27 +182,45 @@ class TestStackEngine:
         simulated = brute_force_fa_misses(addrs, LINE, capacity)
         assert from_profile == simulated
 
-    @given(block_lists, st.integers(min_value=0, max_value=4))
+    @STREAMS
+    @pytest.mark.parametrize("assoc", [1, 2, 4])
+    @given(data=st.data(), set_bits=st.integers(min_value=0, max_value=4))
     @settings(max_examples=200, deadline=None)
-    def test_direct_mapped_flags_follow_stack_distance_rule(self, refs, set_bits):
-        # set_lru_flags answers assoc 1 without a stack pass; on any
-        # set-sorted stream it must agree with the general rule: a hit
-        # has stack distance <= 1, and a miss evicts once its segment
-        # has seen a distinct block.
-        block_array = np.asarray(refs, dtype=np.int64)
+    def test_set_lru_flags_follow_stack_distance_rule(
+        self, stream, assoc, data, set_bits
+    ):
+        # set_lru_flags answers assoc 1 and 2 without a stack pass; on
+        # any set-sorted stream every associativity must agree with the
+        # rule, read off the Fenwick reference's distances: a hit has
+        # stack distance <= assoc, and a miss evicts once its segment
+        # has seen assoc distinct blocks.
+        block_array = np.asarray(data.draw(stream), dtype=np.int64)
         sets = block_array & ((1 << set_bits) - 1)
         order = np.argsort(sets, kind="stable")
         b, s = block_array[order], sets[order]
-        hit, evict = set_lru_flags(b, s, 1)
-        distances = stack_distances(b).tolist()
+        hit, evict = set_lru_flags(b, s, assoc)
+        reference = compute_profile_reference(addresses_from_blocks(b), LINE)
+        distances = reference.distances.tolist()
         seen = {}
+        expected_hit = []
         expected_evict = []
         for block, set_index, distance in zip(b.tolist(), s.tolist(), distances):
             in_set = seen.setdefault(set_index, set())
-            expected_evict.append(distance != 1 and len(in_set) >= 1)
+            expected_hit.append(distance != COLD and distance <= assoc)
+            expected_evict.append(not expected_hit[-1] and len(in_set) >= assoc)
             in_set.add(block)
-        assert hit.tolist() == [d == 1 for d in distances]
+        assert hit.tolist() == expected_hit
         assert evict.tolist() == expected_evict
+
+    @pytest.mark.parametrize("num_sets", [1 << 16, 1 << 17])
+    def test_set_order_is_the_stable_argsort(self, num_sets):
+        # 2^16 sets take the uint16 radix path, 2^17 the int64 fallback;
+        # a uint16 key at 2^17 sets would wrap and reorder the top half.
+        rng = np.random.default_rng(num_sets)
+        sets = rng.integers(0, num_sets, size=3 * num_sets, dtype=np.int64)
+        sets[:4] = num_sets - 1
+        order = set_order(sets, num_sets)
+        assert np.array_equal(order, np.argsort(sets, kind="stable"))
 
     def test_cold_misses_count_distinct_blocks(self):
         addrs = addresses_from_blocks([1, 2, 1, 3, 2, 1])

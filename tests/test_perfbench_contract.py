@@ -7,7 +7,8 @@ refactor that moves or renames one of those attributes would silently
 drop its span, so this test resolves every entry of the ``WRAPPED``
 table and checks the one call path the self-test leans on hardest:
 both L1 and L2 passes reach ``set_lru_flags`` through the
-``repro.system.vector`` module global.
+``repro.system.vector`` module global, and only sets wider than two
+ways reach ``stack_distances``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.mrc import stack
 from repro.system import vector
 from repro.system.config import PAPER_MACHINE
 from repro.system.policies import BASELINE
@@ -65,3 +67,23 @@ def test_both_vector_passes_call_set_lru_flags_through_the_module(monkeypatch):
         (len(trace), machine.l1.assoc),
         (stats.l1.misses, machine.l2.assoc),
     ]
+
+
+@pytest.mark.parametrize(("l1_assoc", "stack_passes"), [(1, 0), (2, 0), (4, 1)])
+def test_only_sets_wider_than_two_reach_the_stack_kernel(
+    monkeypatch, l1_assoc, stack_passes
+):
+    # CI's traced bench step counts mrc.stack_distances spans per
+    # bufferless_sweep pass.  set_lru_flags answers the 2-way L2 and 1-
+    # and 2-way L1s in closed form, so only a 4-way L1 runs the kernel.
+    calls = []
+    original = stack.stack_distances
+
+    def counting(blocks):
+        calls.append(len(blocks))
+        return original(blocks)
+
+    monkeypatch.setattr(stack, "stack_distances", counting)
+    machine = replace(PAPER_MACHINE, l1=replace(PAPER_MACHINE.l1, assoc=l1_assoc))
+    vector.simulate_vector(build("gcc", 3_000, 0), BASELINE, machine)
+    assert len(calls) == stack_passes
