@@ -29,7 +29,8 @@ import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats, ClassificationStats
-from repro.mrc.stack import COLD, stack_distances
+from repro.mrc import stack
+from repro.mrc.stack import COLD
 from repro.system.simulator import Beat, MeasuredWindow
 from repro.system.vector import l1_pass
 
@@ -143,7 +144,8 @@ def measure_accuracy(
     )
 
     hit, evict, _, predicted = l1_pass(blocks, None, geometry, tag_bits)
-    distances = stack_distances(blocks)
+    # Through the module, so a wrapper on the stack kernel sees this pass.
+    distances = stack.stack_distances(blocks)
     miss = ~hit
     cold = distances == COLD
     actual = miss & ~cold & (distances <= geometry.num_lines)

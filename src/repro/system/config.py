@@ -56,6 +56,22 @@ class TimingConfig:
             raise ValueError("issue_rate must be in (0, width]")
         if self.mshrs < 1:
             raise ValueError("mshrs must be >= 1")
+        if self.n_banks < 1:
+            raise ValueError("n_banks must be >= 1")
+        # Zero is legal: an ablation may make swaps free.
+        for name in (
+            "rob_window",
+            "l1_latency",
+            "buffer_latency",
+            "l2_latency",
+            "memory_latency",
+            "bus_transfer_cycles",
+            "bank_busy_cycles",
+            "swap_busy_cycles",
+            "buffer_busy_cycles",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.memory_latency < self.l2_latency:
             raise ValueError("memory_latency must include the L2 trip")
 

@@ -14,8 +14,9 @@ The engine is exact, not approximate: for every eligible run its
 engine's (``as_dict()`` compares equal, and serialises to the same JSON
 bytes).  The passes below serve the bufferless hierarchy at any
 power-of-two L1 associativity: direct-mapped sets take the
-shift-compare fast path, wider sets a per-segment LRU replay built on
-the same set-LRU kernel as the L2 pass.  An assist buffer keeps
+shift-compare fast path, 2-way sets a closed form over run heads, and
+wider sets a per-segment LRU replay built on the same set-LRU kernel
+as the L2 pass.  An assist buffer keeps
 cross-set, fully-associative state whose decisions feed back into the
 L1 and the MCT, so :func:`simulate_vector` hands buffered cells to the
 flat-state replay of :mod:`repro.system.buffered` instead, which models
@@ -44,15 +45,30 @@ Pass structure
      miss the entry is the carried victim, after that the block the
      set's previous miss evicted.
 
-   Set-associative (``assoc > 1``, :func:`_l1_set_assoc_pass`): hits
-   and evictions come from the shared set-LRU pass
-   (:func:`repro.mrc.stack.set_lru_flags` — stack distance ≤ assoc,
-   eviction once the set is full; at 2 ways a closed form over the
-   references that change block, with no stack pass), and victim
-   *identity* from the deaths-FIFO pairing: call an occurrence a
-   **death** when it is the final touch of one residency of its block
-   (its next same-segment occurrence re-misses, or never happens).  In
-   set-LRU the victim of
+   Set-associative (``assoc > 1``): hits and evictions come from the
+   shared set-LRU pass (:func:`repro.mrc.stack.set_lru_flags` — stack
+   distance ≤ assoc, eviction once the set is full).  At 2 ways
+   (:func:`_l1_two_way_pass`) everything is a closed form over *run
+   heads*, the references whose block differs from the previous one in
+   the segment: consecutive heads differ, so after head ``t`` the set
+   holds heads ``t`` and ``t-1``, head ``t`` hits iff it equals head
+   ``t-2``, and otherwise, from the segment's third head on, it evicts
+   head ``t-2``'s block.  The heads at even and at odd offsets of a
+   segment are two direct-mapped lines:
+
+   * victim of head ``t`` ⇔ head ``t-2``'s block;
+   * writeback ⇔ a write fell in any run (a head and its continuations)
+     of the victim's residency, a maximal run of equal blocks on its
+     line: a per-line cumsum of per-run write counts, anchored at the
+     line's latest missing head;
+   * MCT conflict ⇔ the missing tag matches the victim of the segment's
+     latest earlier eviction.
+
+   Wider sets (:func:`_l1_set_assoc_pass`, the general pass and the
+   reference the 2-way form is pinned to) take victim *identity* from
+   the deaths-FIFO pairing: call an occurrence a **death** when it is
+   the final touch of one residency of its block (its next same-segment
+   occurrence re-misses, or never happens).  In set-LRU the victim of
    a segment's k-th eviction is exactly the segment's k-th death in
    position order — an eviction victim is necessarily dead, the LRU
    choice picks the oldest last-touch among residents, and a non-dead
@@ -66,12 +82,14 @@ Pass structure
    2-way, so this pass is the closed form: a reference that changes
    block hits iff it equals the block two changes back in its set.
 
-3. **Timing replay** — the cross-set sequence (bus, MSHRs, ROB window)
-   is inherently serial in trace order, so it is replayed in
-   trace order over the *measured* window only — but only misses take
-   the slow path; hit runs with an empty pipeline fast-forward through
-   one ``np.add.accumulate`` (sequential by definition, so the float
-   result is bit-identical to repeated ``+=``).
+3. **Timing replay** (:func:`_replay_timing`) — the cross-set sequence
+   (bus, MSHRs, ROB window) is inherently serial in trace order, so it
+   is replayed in trace order over the *measured* window only.  Every
+   reference advances the clock by one ``+=``, so the float sums are
+   the scalar model's; the retire loop, the bus and the MSHRs run only
+   at *event steps* — a miss, or the step at which a pending miss
+   leaves the ROB window, all found by one ``searchsorted`` before the
+   loop.
 
 4. **Emission** — the simulator's
    :class:`~repro.system.simulator.MeasuredWindow` walks the scalar
@@ -338,6 +356,82 @@ def _l1_set_assoc_pass(
     return _unsort(order, hit_s, evict_s, wb_s, conflict_s)
 
 
+def _l1_two_way_pass(
+    blocks: "np.ndarray",
+    writes: "Optional[np.ndarray]",
+    geometry: CacheGeometry,
+    tag_bits: Optional[int],
+) -> L1Flags:
+    """The 2-way, whole-trace L1 + MCT pass, in closed form over run heads.
+
+    Same flags as :func:`_l1_set_assoc_pass` at ``assoc == 2`` (pinned
+    by a test), with no block sort and no victim pairing: head ``t``'s
+    victim is head ``t-2``'s block, and the heads at even and at odd
+    offsets of a segment are two direct-mapped lines (module docstring).
+    """
+    n = int(len(blocks))
+    mask = mct_tag_mask(tag_bits)
+    sets = blocks & (geometry.num_sets - 1)
+    order = set_order(sets, geometry.num_sets)
+    b = blocks[order]
+    s = sets[order]
+
+    hit_s, evict_s = set_lru_flags(b, s, geometry.assoc)
+
+    wb_s = np.zeros(n, dtype=bool)
+    conflict_s = np.zeros(n, dtype=bool)
+    is_head = np.ones(n, dtype=bool)
+    np.not_equal(b[1:], b[:-1], out=is_head[1:])
+    heads = np.flatnonzero(is_head)
+    h_evict = evict_s[heads]
+    # Head t evicts head t-2's block.
+    evicting = np.flatnonzero(h_evict)
+    if len(evicting):
+        h_miss = ~hit_s[heads]
+        if writes is not None:
+            # The victim is dirty iff a write fell in any run (a head and
+            # its continuations) of its residency: a per-line cumsum of
+            # per-run write counts from the residency's fill, the line's
+            # latest missing head.  Global head parity splits the lines,
+            # and each line's first head in a segment (offset 0 or 1)
+            # misses, so no residency reaches back into another segment.
+            run_writes = np.add.reduceat(writes[order], heads, dtype=np.int64)
+            dirty = np.empty(len(heads), dtype=bool)
+            for line in (0, 1):
+                w = run_writes[line::2]
+                cum = np.cumsum(w, dtype=np.int64)
+                fill = np.maximum.accumulate(
+                    np.where(h_miss[line::2], np.arange(len(w)), -1)
+                )
+                dirty[line::2] = cum - cum[fill] + w[fill] > 0
+            wb_s[heads[evicting]] = dirty[evicting - 2]
+
+        # MCT: at a missing head the set's entry holds the victim of the
+        # latest earlier evicting head, when that head shares its set.
+        # (``cand`` -1 wraps to the last head and is masked out.)
+        hb = b[heads]
+        hs = s[heads]
+        latest = np.maximum.accumulate(
+            np.where(h_evict, np.arange(len(heads)), -1)
+        )
+        miss_t = np.flatnonzero(h_miss)
+        cand = latest[np.maximum(miss_t - 1, 0)]
+        has_entry = (cand >= 0) & (hs[cand] == hs[miss_t])
+        miss_t = miss_t[has_entry]
+        entry = hb[cand[has_entry] - 2]
+        probe = hb[miss_t]
+        if mask is None:
+            # Same set, so equal blocks ⇔ equal tags.
+            match = entry == probe
+        else:
+            match = ((entry >> geometry.index_bits) & mask) == (
+                (probe >> geometry.index_bits) & mask
+            )
+        conflict_s[heads[miss_t[match]]] = True
+
+    return _unsort(order, hit_s, evict_s, wb_s, conflict_s)
+
+
 # ----------------------------------------------------------------------
 # Pass 2: the set-associative L2 over the L1 miss stream
 # ----------------------------------------------------------------------
@@ -387,38 +481,42 @@ def _replay_timing(
     Bit-identical to driving the scalar model from a freshly reset
     measurement: same issue clock, same bus-then-MSHR acquisition order
     on misses, same ROB-window stall rule, same FIFO drain at the end.
-    Only misses and references with operations in flight take the
-    per-reference Python path; hit runs over an empty pipeline are
-    fast-forwarded with one sequential ``np.add.accumulate`` (whose
-    left-to-right definition reproduces repeated ``+=`` exactly —
-    a plain ``sum`` would not).
+    Every reference advances the clock by one ``+=``, in trace order, so
+    the float sums match; the retire loop, the bus and the MSHRs run
+    only at *event steps*: a miss, or the step at which a pending miss
+    leaves the ROB window.  That is exact:
+
+    * retiring a head whose completion time has passed changes neither
+      the clock nor any counter, it only frees an MSHR — and the MSHR
+      count is read only when a miss issues, after that miss's own
+      retire loop has caught up on every deferred pop;
+    * a head can stall retirement only at its window-exit step, the
+      first step ``j`` with ``icum[j] > icum[p] + rob_window`` (``icum``
+      the inclusive prefix sum of ``gaps + 1``, ``p`` the miss), and that
+      step retires it and every older head, so each pending miss is
+      caught there or earlier.
+
+    The window-exit steps of all misses come from one ``searchsorted``
+    before the loop.  The drain and the MSHR sweep are unchanged, so
+    they need ``rob_window >= 0`` (:class:`TimingConfig` enforces it).
     """
     m = int(len(gaps))
     issued = gaps.astype(np.int64) + 1
-    incs_arr = issued.astype(np.float64) / config.issue_rate
-    incs: List[float] = incs_arr.tolist()
-    issued_list: List[int] = issued.tolist()
-    issued_cum = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(issued))
-    )
-    latency = np.where(
-        l2_hit, float(config.l2_latency), float(config.memory_latency)
-    )
-    latency_list: List[float] = latency.tolist()
-    miss_list: List[bool] = l1_miss.tolist()
-    # next_miss[i]: first miss position >= i (m when none) — lets the
-    # empty-pipeline fast path jump whole hit runs at once.
+    icum = np.cumsum(issued)
+    incs: List[float] = (issued / config.issue_rate).tolist()
+    # Per reference: 0 = only the clock moves, 1 = a pending miss leaves
+    # the window, 2 = a miss that hits the L2, 3 = a miss to memory.
     miss_idx = np.flatnonzero(l1_miss)
-    next_miss = np.full(m + 1, m, dtype=np.int64)
-    if len(miss_idx):
-        ranks = np.searchsorted(miss_idx, np.arange(m), side="left")
-        found = ranks < len(miss_idx)
-        next_miss[:m][found] = miss_idx[ranks[found]]
-    next_miss_list: List[int] = next_miss.tolist()
+    exits = np.searchsorted(icum, icum[miss_idx] + config.rob_window, side="right")
+    codes = np.zeros(m, dtype=np.int8)
+    codes[exits[exits < m]] = 1
+    codes[miss_idx] = np.where(l2_hit[miss_idx], 2, 3)
+    events = np.flatnonzero(codes)
+    instructions_at = iter(icum[events].tolist())
+    latencies = (0.0, 0.0, float(config.l2_latency), float(config.memory_latency))
 
     stats = TimingStats()
     clock = 0.0
-    instructions = 0
     stall = 0.0
     contention = 0.0
     bus_free = 0.0
@@ -426,25 +524,13 @@ def _replay_timing(
     window = config.rob_window
     mshrs = config.mshrs
     bus_cycles = config.bus_transfer_cycles
-    i = 0
-    while i < m:
-        if not pending:
-            nxt = next_miss_list[i]
-            if nxt > i:
-                # Hit run with nothing in flight: the scalar model only
-                # advances the clock here, one += per reference.
-                if nxt - i >= 32:
-                    seg = np.concatenate(([clock], incs_arr[i:nxt]))
-                    clock = float(np.add.accumulate(seg)[-1])
-                else:
-                    for j in range(i, nxt):
-                        clock += incs[j]
-                instructions += int(issued_cum[nxt] - issued_cum[i])
-                i = nxt
-                continue
-        # step(): advance past the gap plus this reference, then retire.
-        clock += incs[i]
-        instructions += issued_list[i]
+    for inc, code in zip(incs, codes.tolist()):
+        # step(): advance past the gap plus this reference ...
+        clock += inc
+        if not code:
+            continue
+        # ... then retire.
+        instructions = next(instructions_at)
         while pending:
             issue_instr, completion = pending[0]
             if completion <= clock:
@@ -455,7 +541,7 @@ def _replay_timing(
                 pending.popleft()
             else:
                 break
-        if miss_list[i]:
+        if code > 1:
             # _fetch_line: the bus is acquired at the current clock ...
             start = bus_free if bus_free > clock else clock
             wait = start - clock
@@ -476,8 +562,7 @@ def _replay_timing(
                         still.append(entry)
                 pending = still
             begin = start if start > clock else clock
-            pending.append((instructions, begin + latency_list[i]))
-        i += 1
+            pending.append((instructions, begin + latencies[code]))
     # finish(): FIFO-drain whatever is still in flight.
     while pending:
         _, completion = pending.popleft()
@@ -485,7 +570,7 @@ def _replay_timing(
             stall += completion - clock
             clock = completion
     stats.cycles = clock
-    stats.instructions = instructions
+    stats.instructions = int(icum[-1]) if m else 0
     stats.memory_refs = m
     stats.stall_cycles = stall
     stats.contention_cycles = contention
@@ -676,4 +761,6 @@ def l1_pass(
             *empty_l1_state(geometry.num_sets),
         )
         return flags
+    if geometry.assoc == 2:
+        return _l1_two_way_pass(blocks, writes, geometry, tag_bits)
     return _l1_set_assoc_pass(blocks, writes, geometry, tag_bits)

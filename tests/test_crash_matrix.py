@@ -67,9 +67,15 @@ RETRY_SURVIVABLE = {
     ("worker_spawn", "partial"),
 }
 
+#: The service's sites fire only inside ``repro.serve``, never in a
+#: campaign, so a kill there cannot take a campaign down.
+#: ``tests/test_serve.py`` covers them: ``serve_batch`` kill, exception,
+#: enospc, partial and delay, and ``serve_accept`` exception.
+SERVICE_SITES = frozenset({"serve_accept", "serve_batch"})
+
 FULL_MATRIX = [
     f"{site}:{kind}:{SITE_SEED.get(site, 0)}"
-    for site in sorted(SITES)
+    for site in sorted(set(SITES) - SERVICE_SITES)
     for kind in FAULT_KINDS
 ]
 

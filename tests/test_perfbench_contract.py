@@ -7,8 +7,9 @@ refactor that moves or renames one of those attributes would silently
 drop its span, so this test resolves every entry of the ``WRAPPED``
 table and checks the one call path the self-test leans on hardest:
 both L1 and L2 passes reach ``set_lru_flags`` through the
-``repro.system.vector`` module global, and only sets wider than two
-ways reach ``stack_distances``.
+``repro.system.vector`` module global, only sets wider than two ways
+reach ``stack_distances``, and the accuracy measurement reaches it
+through the ``repro.mrc.stack`` module.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import accuracy
 from repro.mrc import stack
 from repro.system import vector
 from repro.system.config import PAPER_MACHINE
@@ -67,6 +69,22 @@ def test_both_vector_passes_call_set_lru_flags_through_the_module(monkeypatch):
         (len(trace), machine.l1.assoc),
         (stats.l1.misses, machine.l2.assoc),
     ]
+
+
+def test_accuracy_calls_stack_distances_through_the_module(monkeypatch):
+    # Hill's truth is one stack pass per accuracy call; a name bound at
+    # import would hide it from the mrc.stack_distances span.
+    calls = []
+    original = stack.stack_distances
+
+    def counting(blocks):
+        calls.append(len(blocks))
+        return original(blocks)
+
+    monkeypatch.setattr(stack, "stack_distances", counting)
+    trace = build("gcc", 3_000, 0)
+    accuracy.measure_accuracy(trace.addresses, PAPER_MACHINE.l1)
+    assert calls == [len(trace)]
 
 
 @pytest.mark.parametrize(("l1_assoc", "stack_passes"), [(1, 0), (2, 0), (4, 1)])

@@ -163,6 +163,33 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TimingConfig(l2_latency=20, memory_latency=10)
 
+    @pytest.mark.parametrize(
+        ("field", "kwargs"),
+        [
+            ("rob_window", {"rob_window": -1}),
+            ("l1_latency", {"l1_latency": -1}),
+            ("buffer_latency", {"buffer_latency": -1}),
+            ("l2_latency", {"l2_latency": -3, "memory_latency": -2}),
+            ("memory_latency", {"l2_latency": 0, "memory_latency": -2}),
+            ("bus_transfer_cycles", {"bus_transfer_cycles": -1}),
+            ("bank_busy_cycles", {"bank_busy_cycles": -1}),
+            ("swap_busy_cycles", {"swap_busy_cycles": -2}),
+            ("buffer_busy_cycles", {"buffer_busy_cycles": -1}),
+            ("n_banks", {"n_banks": 0}),
+        ],
+    )
+    def test_rejects_impossible_timing_naming_the_field(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TimingConfig(**kwargs)
+
+    def test_zero_cycles_stay_legal(self):
+        # An ablation may make swaps free; a zero window retires at once.
+        cfg = TimingConfig(
+            rob_window=0, swap_busy_cycles=0, bank_busy_cycles=0,
+            buffer_busy_cycles=0, l1_latency=0, buffer_latency=0,
+        )
+        assert cfg.swap_busy_cycles == 0 and cfg.rob_window == 0
+
     def test_slow_bus_variant(self):
         cfg = TimingConfig().with_slow_bus()
         assert cfg.bus_transfer_cycles > TimingConfig().bus_transfer_cycles

@@ -15,9 +15,10 @@ checks that every counter is driven by at least one deterministic case.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -31,10 +32,21 @@ from repro.obs.config import ObsConfig
 from repro.obs.metrics import flatten_counters
 from repro.obs.validate import main as validate_main
 from repro.obs.validate import reconcile_events, validate_lines
-from repro.system.config import MachineConfig, PAPER_MACHINE, SLOW_BUS_MACHINE
+from repro.system.config import (
+    MachineConfig,
+    PAPER_MACHINE,
+    SLOW_BUS_MACHINE,
+    TimingConfig,
+)
 from repro.system.policies import AssistConfig, BASELINE, ExclusionMode
 from repro.system.simulator import simulate
+from repro.system.timing import TimingModel
 from repro.system.vector import (
+    _l1_direct_mapped_pass,
+    _l1_set_assoc_pass,
+    _l1_two_way_pass,
+    _replay_timing,
+    empty_l1_state,
     simulate_vector,
     vector_ineligibility,
     vector_supported,
@@ -99,6 +111,20 @@ WIDE_WINDOW_MACHINE = replace(
     PAPER_MACHINE, timing=replace(PAPER_MACHINE.timing, rob_window=256)
 )
 
+#: Two MSHRs, so misses queue for one and the replay's MSHR sweep runs:
+#: on the paper's machine at most ten of the 16 are ever busy in the
+#: bufferless identity cases.
+TWO_MSHR_MACHINE = replace(
+    PAPER_MACHINE, timing=replace(PAPER_MACHINE.timing, mshrs=2)
+)
+
+#: Bufferless identity machines for the replay's rare branches, by id.
+#: The wide window also fills all 16 MSHRs.
+TIMING_EDGE_MACHINES = {
+    "two-mshr": TWO_MSHR_MACHINE,
+    "wide-window": WIDE_WINDOW_MACHINE,
+}
+
 #: (machine, warmup) of the buffered identity cases, by id.
 BUFFERED_MACHINES = {
     "paper-w0": (PAPER_MACHINE, 0),
@@ -119,6 +145,8 @@ def identity_cases():
             yield bench, machine_with_assoc(assoc), 500, BASELINE
         yield bench, SLOW_BUS_MACHINE, 500, BASELINE
         yield bench, SMALL_L2_MACHINE, 500, BASELINE
+        for machine in TIMING_EDGE_MACHINES.values():
+            yield bench, machine, 500, BASELINE
     for bench in BUFFERED_BENCHES:
         for machine, warmup in BUFFERED_MACHINES.values():
             for policy in BUFFERED_PRESETS.values():
@@ -217,6 +245,34 @@ def make_trace(refs) -> Trace:
 # Each shrink step builds a scalar MemorySystem: a divergence shrinks for minutes.
 NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
+#: Timing configurations for the replay property: from one MSHR to the
+#: paper's 16, a zero-instruction to a 256-instruction window, and
+#: fractional issue rates, whose per-reference clock steps are inexact.
+timing_configs = st.builds(
+    TimingConfig,
+    mshrs=st.integers(min_value=1, max_value=16),
+    rob_window=st.one_of(
+        st.integers(min_value=0, max_value=16),
+        st.integers(min_value=0, max_value=256),
+    ),
+    issue_rate=st.floats(min_value=1.0, max_value=3.0),
+    bus_transfer_cycles=st.sampled_from([1, 8]),
+)
+
+
+def scalar_timing(gaps, miss, l2_hit, config: TimingConfig):
+    """The scalar model driven as the bufferless MemorySystem drives it:
+    step, then on a miss the bus and the MSHR, then the final drain."""
+    model = TimingModel(config)
+    for gap, is_miss, hit in zip(gaps, miss, l2_hit):
+        model.step(gap)
+        if is_miss:
+            latency = config.l2_latency if hit else config.memory_latency
+            start = model.acquire_bus(model.clock)
+            model.issue_miss(float(latency), start=start)
+    return model.finish()
+
+
 filters = st.one_of(st.none(), st.sampled_from(ALL_FILTERS))
 
 #: Any buffered policy: every mix of victim fills, fill filter, swap and
@@ -313,6 +369,34 @@ class TestByteIdentity:
     def test_suite_benchmarks_small_l2(self, bench):
         assert_identity(bench, SMALL_L2_MACHINE, 500)
 
+    @pytest.mark.parametrize("bench", EVAL_SUITE)
+    @pytest.mark.parametrize("case", sorted(TIMING_EDGE_MACHINES))
+    def test_suite_benchmarks_timing_edges(self, bench, case):
+        assert_identity(bench, TIMING_EDGE_MACHINES[case], 500)
+
+    @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+    @given(
+        # Long streams too, so a miss's window exit often falls before
+        # the stream ends (see ``sim_refs``).
+        n=st.one_of(
+            st.integers(min_value=0, max_value=100),
+            st.integers(min_value=200, max_value=600),
+        ),
+        miss_rate=st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.7, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        config=timing_configs,
+    )
+    def test_timing_replay_matches_timing_model(self, n, miss_rate, seed, config):
+        # The replay alone against the scalar TimingModel: every miss
+        # density from none to all, every MSHR count and window size.
+        rng = np.random.default_rng(seed)
+        gaps = rng.integers(0, 8, size=n, dtype=np.int64)
+        miss = rng.random(n) < miss_rate
+        l2_hit = rng.random(n) < 0.5
+        replayed = _replay_timing(gaps, miss, l2_hit, config)
+        expected = scalar_timing(gaps.tolist(), miss.tolist(), l2_hit.tolist(), config)
+        assert json.dumps(asdict(replayed)) == json.dumps(asdict(expected))
+
     @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     @given(refs=sim_refs, policy=buffered_policies, data=st.data())
     def test_random_buffered_policies(self, refs, policy, data):
@@ -355,14 +439,6 @@ class TestByteIdentity:
         # At assoc == 1 the deaths-FIFO pass and the direct-mapped pass
         # from empty state must produce identical flag arrays — the
         # dispatch choice between them is purely a performance decision.
-        import numpy as np
-
-        from repro.system.vector import (
-            _l1_direct_mapped_pass,
-            _l1_set_assoc_pass,
-            empty_l1_state,
-        )
-
         geometry = PAPER_MACHINE.l1
         trace = build("gcc", 5_000, 1)
         blocks = trace.addresses >> geometry.offset_bits
@@ -375,6 +451,43 @@ class TestByteIdentity:
             general = _l1_set_assoc_pass(blocks, writes, geometry, tag_bits)
             for name, a, b in zip(("hit", "evict", "wb", "conflict"), dm, general):
                 assert np.array_equal(a, b), (name, tag_bits)
+
+    @pytest.mark.parametrize("with_writes", [False, True])
+    def test_general_pass_subsumes_two_way(self, with_writes):
+        # At assoc == 2 the closed form over run heads and the deaths-
+        # FIFO pass must produce identical flag arrays.
+        geometry = machine_with_assoc(2).l1
+        trace = build("gcc", 5_000, 1)
+        blocks = trace.addresses >> geometry.offset_bits
+        writes = np.logical_not(trace.is_load) if with_writes else None
+        for tag_bits in (None, 3):
+            two_way = _l1_two_way_pass(blocks, writes, geometry, tag_bits)
+            general = _l1_set_assoc_pass(blocks, writes, geometry, tag_bits)
+            for name, a, b in zip(("hit", "evict", "wb", "conflict"), two_way, general):
+                assert np.array_equal(a, b), (name, tag_bits)
+
+    @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+    @given(
+        refs=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=15), st.booleans()),
+            min_size=1,
+            max_size=300,
+        ),
+        sets=st.sampled_from([1, 2, 4]),
+        tag_bits=st.sampled_from([None, 1, 2]),
+        with_writes=st.booleans(),
+    )
+    def test_two_way_pass_matches_general_pass_on_random_streams(
+        self, refs, sets, tag_bits, with_writes
+    ):
+        # Few blocks over few sets: long residencies, runs and re-misses.
+        geometry = CacheGeometry(size=sets * 2 * 64, assoc=2, line_size=64)
+        blocks = np.array([block for block, _ in refs], dtype=np.int64)
+        writes = np.array([w for _, w in refs], dtype=bool) if with_writes else None
+        two_way = _l1_two_way_pass(blocks, writes, geometry, tag_bits)
+        general = _l1_set_assoc_pass(blocks, writes, geometry, tag_bits)
+        for name, a, b in zip(("hit", "evict", "wb", "conflict"), two_way, general):
+            assert np.array_equal(a, b), name
 
 
 #: A buffered cell the fast engine declines: its L1 is 2-way.
