@@ -1,30 +1,27 @@
 """``repro.analysis`` — simlint, the repo-specific static-analysis pass.
 
-Seven rule families, each earned the hard way (``docs/static_analysis.md``
+Four rule families, each earned the hard way (``docs/static_analysis.md``
 is the catalog, with the original bugs):
 
-* **stats-completeness** (RPR003) — stats dataclasses keep ``int`` counters;
 * **determinism** (RPR010-013) — no wall clock, unseeded RNG, OS entropy
   or set-order dependence in the simulation core;
 * **concurrency** (RPR020-022, RPR080-081) — harness process lifecycle
   under the lock, no bare shared-dict mutation from scheduler threads, no
   blocking sleep or file I/O in ``async def`` bodies;
-* **obs-schema** (RPR030-031) — emitted event names and the one event
-  schema table agree exactly, in both directions;
 * **hot-path** (RPR040-042) — no repeated attribute chains or ``tolist()``
   slicing in simulation-core loops, no ``print()`` in library code;
-* **durability** (RPR050-051) — harness/obs persistence goes through the
-  fsync'd atomic-write path;
 * **numpy-hygiene** (RPR060-064) — stable sorts, 64-bit accumulators,
   hoisted ``astype``, no chained mask indexing or dtype-changing in-place
   ops; rules fire on arrays and dtypes claimed by a per-scope dtype table
   (:class:`repro.analysis.checkers.numpy_hygiene.DtypeTable`).
 
-The engines' ``SystemStats`` contract is checked at runtime (the tests
-that replaced RPR070-072 are in ``docs/static_analysis.md``).
+Contracts over a few live objects are plain tests instead: the
+engines' ``SystemStats`` (RPR070-072), integer counters (RPR003), the
+event schema (RPR030-031) and durable run-directory writes (RPR050-051);
+``docs/static_analysis.md`` names each replacing test.
 
 Run ``python -m repro.analysis src tests`` (CI does, before anything
-else).  Suppress a finding with ``# repro: noqa[RPR003]`` on its line —
+else).  Suppress a finding with ``# repro: noqa[RPR060]`` on its line —
 every suppression should say *why* in an adjacent comment.
 """
 

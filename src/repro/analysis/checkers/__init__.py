@@ -2,10 +2,10 @@
 
 To add a checker: subclass :class:`repro.analysis.core.Checker`, give it
 a ``name``, a ``codes`` dict and scope ``tags``, implement
-``check_module`` (and ``finalize`` for cross-file rules), then append
-the class here and add one passing and one failing fixture under
-``tests/fixtures/analysis/`` — ``tests/test_analysis.py`` asserts every
-registered code fires on at least one fixture.
+``check_module``, then append the class here and add one passing and
+one failing fixture under ``tests/fixtures/analysis/`` —
+``tests/test_analysis.py`` asserts every registered code fires on at
+least one fixture.
 """
 
 from __future__ import annotations
@@ -17,21 +17,15 @@ from repro.analysis.checkers.determinism import (
     DeterminismChecker,
     SetOrderConstructorChecker,
 )
-from repro.analysis.checkers.durability import DurabilityChecker
 from repro.analysis.checkers.hotpath import HotPathChecker
 from repro.analysis.checkers.numpy_hygiene import NumpyHygieneChecker
-from repro.analysis.checkers.obs_schema import ObsSchemaChecker
-from repro.analysis.checkers.stats import StatsCompletenessChecker
 from repro.analysis.core import Checker
 
 ALL_CHECKERS: List[Type[Checker]] = [
-    StatsCompletenessChecker,
     DeterminismChecker,
     SetOrderConstructorChecker,
     ConcurrencyChecker,
-    ObsSchemaChecker,
     HotPathChecker,
-    DurabilityChecker,
     NumpyHygieneChecker,
 ]
 

@@ -177,12 +177,6 @@ class DeterminismChecker(Checker):
                 f"use np.random.Generator(np.random.PCG64(seed))",
             )
 
-    # list(set(..)) / tuple(set(..)) / "".join(set(..)) also leak order.
-    # They are reported through the For/comprehension rule when iterated;
-    # the common constructor forms are caught here.
-    def finalize(self) -> Iterator[Violation]:
-        return iter(())
-
 
 def _module_aliases(tree: ast.Module, module_name: str) -> Set[str]:
     """Names the module is imported as (``import random as rnd`` -> rnd)."""

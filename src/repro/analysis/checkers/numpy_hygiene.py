@@ -117,12 +117,17 @@ def _dtype_keyword(call: ast.Call) -> Tuple[bool, Optional[str]]:
 
 
 def _is_ndarray_annotation(node: Optional[ast.expr]) -> bool:
-    """``np.ndarray``, ``"np.ndarray"``, ``Optional[NDArray[...]]``, ..."""
+    """``np.ndarray``, ``"np.ndarray"``, ``Optional[NDArray[...]]``,
+    ``np.ndarray | None``, ..."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         try:
             node = ast.parse(node.value, mode="eval").body
         except SyntaxError:
             return False
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        arms = [arm for arm in (node.left, node.right)
+                if not (isinstance(arm, ast.Constant) and arm.value is None)]
+        return len(arms) == 1 and _is_ndarray_annotation(arms[0])
     if isinstance(node, ast.Subscript):
         if dotted_name(node.value) in {"Optional", "typing.Optional"}:
             return _is_ndarray_annotation(node.slice)

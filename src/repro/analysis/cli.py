@@ -126,9 +126,8 @@ def _sarif_payload(result: RunResult) -> Dict[str, Any]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Repo-specific static analysis (simlint): stats "
-        "completeness, determinism, scheduler concurrency, obs schema "
-        "coherence, hot-path hygiene, durability and numpy dtype/stability "
+        description="Repo-specific static analysis (simlint): determinism, "
+        "scheduler concurrency, hot-path hygiene and numpy dtype/stability "
         "hygiene.",
     )
     parser.add_argument(

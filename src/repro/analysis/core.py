@@ -7,10 +7,8 @@ here is deliberately small:
 
 * a :class:`ModuleInfo` per checked file (parsed AST + source lines +
   scope tags),
-* a :class:`Checker` base class with a per-module pass and an optional
-  cross-module ``finalize`` pass (used by the obs-schema checker, whose
-  emit sites and schema table live in different files),
-* ``# repro: noqa`` / ``# repro: noqa[RPR003,RPR040]`` line suppressions,
+* a :class:`Checker` base class with a per-module pass,
+* ``# repro: noqa`` / ``# repro: noqa[RPR010,RPR040]`` line suppressions,
 * deterministic, sorted output (the linter itself must obey the repo's
   determinism rules — its output feeds CI diffs).
 
@@ -38,7 +36,7 @@ SIMCORE_PACKAGES = frozenset(
 #: Directive overriding a file's computed scope tags (fixtures use this).
 _SCOPE_DIRECTIVE = re.compile(r"#\s*repro-analysis-scope:\s*([\w\s,-]+)")
 
-#: Line suppression: ``# repro: noqa`` or ``# repro: noqa[RPR003,RPR040]``.
+#: Line suppression: ``# repro: noqa`` or ``# repro: noqa[RPR010,RPR040]``.
 _NOQA = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Z0-9,\s]+)\])?")
 
 
@@ -85,7 +83,7 @@ class ModuleInfo:
 
 class Checker:
     """Base class: subclasses set ``name``/``codes``/``tags`` and override
-    :meth:`check_module` (and :meth:`finalize` for cross-file rules).
+    :meth:`check_module`.
 
     ``tags`` is the set of scope tags a module must intersect for the
     checker to visit it; ``None`` means every checked module.
@@ -100,10 +98,6 @@ class Checker:
         return self.tags is None or bool(self.tags & module.tags)
 
     def check_module(self, module: ModuleInfo) -> Iterator[Violation]:
-        return iter(())
-
-    def finalize(self) -> Iterator[Violation]:
-        """Cross-module findings, called once after every module pass."""
         return iter(())
 
 
@@ -257,8 +251,6 @@ def run(
         for checker in checkers:
             if checker.applies(module):
                 raw.extend(checker.check_module(module))
-    for checker in checkers:
-        raw.extend(checker.finalize())
 
     def kept(v: Violation) -> bool:
         lines = lines_by_path.get(v.path)
@@ -292,21 +284,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
-    return None
-
-
-def is_dataclass(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = dotted_name(target)
-        if name in {"dataclass", "dataclasses.dataclass"}:
-            return True
-    return False
-
-
-def literal_str(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
     return None
 
 

@@ -77,18 +77,8 @@ class FullyAssociativeLRU:
         """Remove ``block``; returns False if it was not resident."""
         return self._blocks.pop(block, False) is None
 
-    def lru_block(self) -> Optional[int]:
-        """The block that would be evicted next, or None when empty."""
-        if not self._blocks:
-            return None
-        return next(iter(self._blocks))
-
     def occupancy(self) -> int:
         return len(self._blocks)
-
-    def contents_lru_to_mru(self) -> list[int]:
-        """Resident blocks ordered least- to most-recently used."""
-        return list(self._blocks)
 
     def flush(self) -> None:
         self._blocks.clear()

@@ -129,13 +129,6 @@ class CacheGeometry:
         """
         return self.block_address(addr) + self.line_size
 
-    def conflicts_with(self, a: int, b: int) -> bool:
-        """True when two addresses map to the same set but different lines."""
-        return (
-            self.set_index(a) == self.set_index(b)
-            and self.block_address(a) != self.block_address(b)
-        )
-
     def with_assoc(self, assoc: int) -> "CacheGeometry":
         """Same capacity and line size, different associativity."""
         return CacheGeometry(size=self.size, assoc=assoc, line_size=self.line_size)

@@ -208,10 +208,6 @@ class PseudoAssociativeCache:
     def occupancy(self) -> int:
         return sum(1 for line in self._slots if line.valid)
 
-    @property
-    def secondary_hit_fraction(self) -> float:
-        return self.secondary_hits / self.stats.hits if self.stats.hits else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<PseudoAssociativeCache {self.geometry.describe()} "

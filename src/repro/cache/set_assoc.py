@@ -14,7 +14,7 @@ allocation precisely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.line import CacheLine, EvictedLine
@@ -262,24 +262,9 @@ class SetAssociativeCache:
         line.invalidate()
         return snap
 
-    def set_conflict_bit(self, addr: int, value: bool) -> bool:
-        """Set the conflict bit of a resident line; returns False if absent."""
-        line = self.peek_line(addr)
-        if line is None:
-            return False
-        line.conflict_bit = value
-        return True
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def resident_blocks(self) -> Iterator[int]:
-        """Yield the line-aligned address of every valid resident line."""
-        for index, lines in enumerate(self._sets):
-            for line in lines or ():
-                if line.valid:
-                    yield self.geometry.compose(line.tag, index)
-
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
         return sum(

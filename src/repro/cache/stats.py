@@ -2,9 +2,9 @@
 
 Statistics objects are plain mutable dataclasses with derived-rate
 properties.  Everything the paper reports — hit rates, swap/fill rates as a
-percentage of all accesses, prefetch accuracy and coverage, miss-rate
-components — is computed from these counters, so they are deliberately
-fine-grained.  Every one of them inherits :class:`Counters`, the single
+percentage of all accesses, classification accuracy, miss-rate components —
+is computed from these counters, so they are deliberately fine-grained.
+Every one of them inherits :class:`Counters`, the single
 ``reset()``/``merge()`` implementation.
 """
 
@@ -108,11 +108,6 @@ class BufferStats(Counters):
     def hit_rate_of_probes(self) -> float:
         return _pct(self.hits, self.probes)
 
-    @property
-    def prefetch_accuracy(self) -> float:
-        """Useful prefetches as a percentage of issued prefetches."""
-        return _pct(self.prefetches_used, self.prefetches_issued)
-
     def swap_rate(self, total_accesses: int) -> float:
         return _pct(self.swaps, total_accesses)
 
@@ -183,7 +178,7 @@ class TimingStats(Counters):
     """Cycle-accounting output of the timing model.
 
     Cycles and stalls sum under :meth:`~Counters.merge`, so the merged
-    IPC/CPI is the throughput of the combined runs — the right
+    IPC is the throughput of the combined runs — the right
     convention when rolling up per-thread or per-shard runs executed
     back to back.
     """
@@ -192,19 +187,15 @@ class TimingStats(Counters):
     # accounted at sub-cycle resolution, and they only ever cross the
     # obs layer in the final delta (published at finish()), so replay
     # reconciliation stays exact despite the floats.
-    cycles: float = 0.0  # repro: noqa[RPR003]
+    cycles: float = 0.0
     instructions: int = 0
     memory_refs: int = 0
-    stall_cycles: float = 0.0  # repro: noqa[RPR003]
-    contention_cycles: float = 0.0  # repro: noqa[RPR003]
+    stall_cycles: float = 0.0
+    contention_cycles: float = 0.0
 
     @property
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
-    def cpi(self) -> float:
-        return self.cycles / self.instructions if self.instructions else 0.0
 
 
 @dataclass
@@ -226,11 +217,6 @@ class SystemStats(Counters):
         This is the "Total" column of Table 1.
         """
         return _pct(self.l1.hits + self.buffer.hits, self.l1.accesses)
-
-    @property
-    def effective_miss_rate(self) -> float:
-        """Misses not covered by L1 or the assist buffer, in percent."""
-        return 100.0 - self.total_hit_rate
 
     def as_dict(self) -> Dict[str, object]:
         """Nested plain-dict snapshot of every counter.

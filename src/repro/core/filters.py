@@ -52,16 +52,6 @@ class ConflictFilter(Enum):
             return new_is_conflict and evicted_conflict_bit
         return new_is_conflict or evicted_conflict_bit
 
-    @property
-    def needs_conflict_bits(self) -> bool:
-        """Whether the filter reads the per-line conflict bit.
-
-        OUT_CONFLICT is the only filter implementable without the extra
-        bit per cache line (Section 3: "we present the out-conflict
-        result, which does not require the extra bits").
-        """
-        return self is not ConflictFilter.OUT_CONFLICT
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

@@ -67,13 +67,3 @@ def bar_chart(
                 bar = "-" * n
                 lines.append(f"{label.rjust(label_w)} |{bar} {v:.3f} (below)")
     return "\n".join(lines)
-
-
-def grouped_chart(result: ExperimentResult, *, width: int = 40) -> str:
-    """Render every numeric column of a result, one block per column."""
-    numeric = [
-        h
-        for i, h in enumerate(result.headers[1:], start=1)
-        if any(isinstance(row[i], (int, float)) for row in result.rows)
-    ]
-    return "\n\n".join(bar_chart(result, col, width=width) for col in numeric)

@@ -40,6 +40,7 @@ from typing import Callable, List, Optional
 from repro import faults
 from repro.argtypes import at_least, checked
 from repro.experiments.base import ExperimentParams, ExperimentResult, format_result
+from repro.harness import invariants
 from repro.harness.cells import (
     SHARDED_EXPERIMENTS,
     VARIANTS,
@@ -157,6 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     harness.add_argument(
         "--inject-fault",
+        type=checked(str, FaultInjection.parse),
         default=None,
         help=argparse.SUPPRESS,  # <cell_id>:<fail|hang|flaky[:N]> (testing)
     )
@@ -173,6 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     faults_group.add_argument(
         "--inject",
+        type=checked(str, faults.parse_plan),
         default=None,
         metavar="SITE:KIND[:SEED[:REPEAT]][,...]",
         help="arm deterministic fault(s) at named injection sites "
@@ -296,21 +299,22 @@ def main(argv: List[str] | None = None) -> int:
     params = _validate_params(parser, args)
     cells = expand_cells(names)
 
-    inject = None
-    if args.inject_fault:
-        try:
-            inject = FaultInjection.parse(args.inject_fault)
-        except ValueError as exc:
-            parser.error(str(exc))
+    inject = FaultInjection.parse(args.inject_fault) if args.inject_fault else None
 
     # Arm the seeded fault plan before anything durable happens, so the
     # manifest write in prepare() is already inside the fault model.
-    plan_text = args.inject or os.environ.get("REPRO_INJECT")
-    if plan_text:
+    if args.inject:
+        faults.activate(faults.parse_plan(args.inject))
+    elif os.environ.get("REPRO_INJECT"):
         try:
-            faults.activate(faults.parse_plan(plan_text))
+            faults.activate(faults.parse_plan(os.environ["REPRO_INJECT"]))
         except ValueError as exc:
-            parser.error(str(exc))
+            parser.error(f"REPRO_INJECT: {exc}")
+    # A bad REPRO_CHECK_INVARIANTS fails here once, not in every cell.
+    try:
+        invariants.check_enabled()
+    except ValueError as exc:
+        parser.error(str(exc))
 
     resume = args.resume is not None
     run_dir_path = args.resume if isinstance(args.resume, str) else args.run_dir

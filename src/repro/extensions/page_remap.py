@@ -30,6 +30,7 @@ from typing import Dict
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.stats import Counters
 from repro.core.mct import MissClassificationTable
 from repro.workloads.trace import Trace
 
@@ -43,7 +44,7 @@ class RemapPolicy(Enum):
 
 
 @dataclass
-class RemapStats:
+class RemapStats(Counters):
     """Outcome of one remapping run."""
 
     policy: RemapPolicy

@@ -10,8 +10,8 @@ present-but-torn file, which is precisely the corruption class
 ``partial`` kind (:mod:`repro.faults`) manufactures that state on demand
 to prove the detection works.
 
-The simlint rules RPR050/RPR051 (:mod:`repro.analysis`) flag harness/obs
-code that writes run-directory files without coming through here.
+``tests/test_faults.py::TestDurable`` fails on harness/obs code that
+writes run-directory files without coming through here.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def atomic_write_text(path: Path, text: str, *, site: Optional[str] = None) -> N
     if faults.active_plan() is not None and site is not None:
         faults.fire(site, path=path, payload=text)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:  # repro: noqa[RPR050] - the helper itself
+    with open(tmp, "w") as fh:
         fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())

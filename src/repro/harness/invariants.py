@@ -39,8 +39,11 @@ from repro.cache.stats import (
     TimingStats,
 )
 
-#: Environment variable consulted when no explicit flag has been set.
+#: Environment variable consulted when no explicit flag has been set,
+#: and its accepted spellings (compared stripped and lower-cased).
 ENV_FLAG = "REPRO_CHECK_INVARIANTS"
+_ON = ("1", "true", "yes", "on")
+_OFF = ("", "0", "false", "no", "off")
 
 #: Tolerances for the floating-point cycle-accounting closure.  The clock
 #: accumulates ``gap / issue_rate`` increments one reference at a time, so
@@ -63,10 +66,22 @@ def set_enabled(flag: Optional[bool]) -> None:
 
 
 def check_enabled() -> bool:
-    """Whether the :meth:`MemorySystem.finish` hook should validate stats."""
+    """Whether the :meth:`MemorySystem.finish` hook should validate stats.
+
+    Raises ``ValueError`` for an environment value that is neither on nor
+    off, so a typo such as ``enable`` cannot silently turn checking off.
+    """
     if _enabled is not None:
         return _enabled
-    return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
+    value = os.environ.get(ENV_FLAG, "").strip().lower()
+    if value in _ON:
+        return True
+    if value in _OFF:
+        return False
+    raise ValueError(
+        f"{ENV_FLAG}={os.environ[ENV_FLAG]!r}: expected {'/'.join(_ON)} (check) "
+        f"or {'/'.join(_OFF[1:])} or empty (do not check)"
+    )
 
 
 def _fail(context: str, law: str, snapshot: object) -> None:

@@ -124,11 +124,6 @@ class StackProfile:
             out.append(self.cold_misses + (n_warm - hits))
         return out
 
-    def histogram(self) -> Dict[int, int]:
-        """Distance -> reference count (cold references under ``COLD``)."""
-        values, counts = np.unique(self.distances, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
-
 
 class _Fenwick:
     """Minimal Fenwick (binary indexed) tree over 1..n, int counters."""

@@ -156,8 +156,8 @@ class ConflictServer:
             await asyncio.gather(*self._handlers, return_exceptions=True)
 
     # ------------------------------------------------------------------
-    # Telemetry (method is named ``emit`` so the RPR030/031 static
-    # schema join sees these literal call sites)
+    # Telemetry (method is named ``emit`` so the schema test in
+    # tests/test_obs.py sees these literal call sites)
     # ------------------------------------------------------------------
     def emit(self, etype: str, **fields: object) -> None:
         log = events.active_log()

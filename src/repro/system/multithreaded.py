@@ -62,12 +62,6 @@ class SharedRunResult:
                 return t
         raise KeyError(f"no thread named {name!r}")
 
-    @property
-    def total_conflict_rate(self) -> float:
-        acc = sum(t.accesses for t in self.threads)
-        conf = sum(t.conflict_misses for t in self.threads)
-        return 100.0 * conf / acc if acc else 0.0
-
 
 class _SharedSystem(MemorySystem):
     """Charges merged reference ``j`` to thread ``j % k``, the order

@@ -112,16 +112,6 @@ class Trace:
         # total instructions.
         return int(self.gaps.sum(dtype=np.int64)) + len(self)
 
-    def concat(self, other: "Trace", name: str | None = None) -> "Trace":
-        """A new trace that plays this trace then ``other``."""
-        return Trace(
-            np.concatenate([self.addresses, other.addresses]),
-            np.concatenate([self.is_load, other.is_load]),
-            np.concatenate([self.gaps, other.gaps]),
-            name=name or f"{self.name}+{other.name}",
-            pcs=np.concatenate([self.pcs, other.pcs]),
-        )
-
     def footprint_lines(self, line_size: int = 64) -> int:
         """Number of distinct cache lines the trace touches."""
         return len(np.unique(self.addresses >> int(np.log2(line_size))))

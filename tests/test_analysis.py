@@ -50,7 +50,6 @@ def codes_for(*files: str) -> set:
 # passing one.
 # ----------------------------------------------------------------------
 FAMILIES = [
-    ("stats_fail.py", "stats_ok.py", {"RPR003"}),
     (
         "determinism_fail.py",
         "determinism_ok.py",
@@ -63,9 +62,7 @@ FAMILIES = [
     ),
     # The service's event loop: blocking calls inside async defs.
     ("asyncio_fail.py", "asyncio_ok.py", {"RPR080", "RPR081"}),
-    ("obs_schema_fail.py", "obs_schema_ok.py", {"RPR030", "RPR031"}),
     ("hotpath_fail.py", "hotpath_ok.py", {"RPR040", "RPR041", "RPR042"}),
-    ("durability_fail.py", "durability_ok.py", {"RPR050", "RPR051"}),
     # The mrc package is registered simcore scope: determinism and
     # hot-path loop discipline must reach it (PR 5).
     (
@@ -79,14 +76,16 @@ FAMILIES = [
         {"RPR060", "RPR061", "RPR062", "RPR063", "RPR064"},
     ),
 ]
+#: Test ids by fixture name, so removing a row renames no other case.
+FAMILY_IDS = [fail.replace("_fail.py", "") for fail, _, _ in FAMILIES]
 
 
-@pytest.mark.parametrize("fail_fixture,ok_fixture,expected", FAMILIES)
+@pytest.mark.parametrize("fail_fixture,ok_fixture,expected", FAMILIES, ids=FAMILY_IDS)
 def test_family_fires_on_fail_fixture(fail_fixture, ok_fixture, expected):
     assert codes_for(fail_fixture) == expected
 
 
-@pytest.mark.parametrize("fail_fixture,ok_fixture,expected", FAMILIES)
+@pytest.mark.parametrize("fail_fixture,ok_fixture,expected", FAMILIES, ids=FAMILY_IDS)
 def test_family_silent_on_ok_fixture(fail_fixture, ok_fixture, expected):
     assert codes_for(ok_fixture) == set()
 
@@ -130,6 +129,33 @@ def test_rpr061_resolves_self_attribute_dtype(tmp_path):
     found = run([str(module)], all_checkers(), root=tmp_path).violations
     assert [(v.code, v.line) for v in found] == [("RPR061", 11)]
     assert "over a int16 array" in found[0].message
+
+
+@pytest.mark.parametrize(
+    "annotation", ["np.ndarray | None", "None | np.ndarray", '"np.ndarray | None"']
+)
+def test_union_with_none_claims_an_array_like_optional(annotation):
+    # A parameter, a return and a class field annotated ``X | None`` make
+    # the same array claims as ``Optional[X]``, so the same rules fire.
+    def findings(ann: str) -> list:
+        source = (
+            "import numpy as np\n"
+            "from typing import Optional\n"
+            f"def order(keys: {ann}):\n"
+            "    return keys.argsort()\n"
+            f"def load() -> {ann}:\n"
+            "    return None\n"
+            "total = load().sum()\n"
+            "class Profile:\n"
+            f"    gaps: {ann}\n"
+            "    def first(self):\n"
+            "        return self.gaps.argsort()\n"
+        )
+        return sorted((v.line, v.code) for v in run_source(source))
+
+    expected = [(4, "RPR060"), (7, "RPR061"), (11, "RPR060")]
+    assert findings("Optional[np.ndarray]") == expected
+    assert findings(annotation) == expected
 
 
 def test_every_registered_code_has_a_firing_fixture():
@@ -216,15 +242,15 @@ def test_repo_tree_is_clean():
 # CLI
 # ----------------------------------------------------------------------
 def test_cli_exit_zero_on_clean(capsys):
-    assert main([str(FIXTURES / "stats_ok.py")]) == 0
+    assert main([str(FIXTURES / "determinism_ok.py")]) == 0
     captured = capsys.readouterr()
     assert "OK" in captured.err
 
 
 def test_cli_exit_one_on_violations(capsys):
-    assert main([str(FIXTURES / "stats_fail.py")]) == 1
+    assert main([str(FIXTURES / "determinism_fail.py")]) == 1
     captured = capsys.readouterr()
-    assert "RPR003" in captured.out
+    assert "RPR010" in captured.out
     assert "FAIL" in captured.err
 
 
@@ -257,14 +283,14 @@ def test_cli_select_prefix_family(capsys):
 
 
 def test_cli_ignore_can_silence_everything(capsys):
-    assert main([str(FIXTURES / "stats_fail.py"), "--ignore", "RPR"]) == 0
+    assert main([str(FIXTURES / "determinism_fail.py"), "--ignore", "RPR"]) == 0
 
 
 @pytest.mark.parametrize("option", ["--select", "--ignore"])
 @pytest.mark.parametrize("bogus", ["RPR9", "rpr01", "RPRX", "RPR0601"])
 def test_cli_unknown_prefix_exits_two(option, bogus, capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main([str(FIXTURES / "stats_fail.py"), option, bogus])
+        main([str(FIXTURES / "determinism_fail.py"), option, bogus])
     assert excinfo.value.code == 2
     assert "matches no known code" in capsys.readouterr().err
 
@@ -290,7 +316,7 @@ def test_cli_format_github_emits_workflow_commands(capsys):
 
 
 def test_cli_format_github_clean_tree_prints_nothing(capsys):
-    assert main([str(FIXTURES / "stats_ok.py"), "--format", "github"]) == 0
+    assert main([str(FIXTURES / "determinism_ok.py"), "--format", "github"]) == 0
     assert capsys.readouterr().out == ""
 
 
@@ -311,8 +337,10 @@ def test_cli_format_sarif_is_valid_minimal_log(capsys):
 def test_cli_list_checkers(capsys):
     assert main(["--list-checkers"]) == 0
     out = capsys.readouterr().out
-    for code in ("RPR003", "RPR010", "RPR020", "RPR030", "RPR040"):
-        assert code in out
+    listed = {line.split()[0] for line in out.splitlines()}
+    assert listed == set(catalog()) and len(listed) == 17
+    # Retired for plain tests (docs/static_analysis.md names each one).
+    assert not listed & {"RPR003", "RPR030", "RPR031", "RPR050", "RPR051"}
 
 
 def test_cli_syntax_error_reports_and_exits_two(tmp_path, capsys):

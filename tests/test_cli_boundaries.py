@@ -3,7 +3,9 @@
 Each CLI checks its flags as they are parsed, with the same code the
 library runs the values through (``ServeConfig``, ``parse_plan``, the
 SHARDS estimator, the workload generator's name check), so a bad value
-never surfaces as a traceback from inside the run or as a hang.
+never surfaces as a traceback from inside the run or as a hang.  The
+environment variables ``REPRO_INJECT`` and ``REPRO_CHECK_INVARIANTS``
+are refused the same way, naming the variable.
 
 The run-directory tools (``doctor``, ``obs.validate``) meet hostile
 files instead: bytes that are not UTF-8 are corruption, named by file
@@ -19,7 +21,7 @@ import pytest
 
 from repro.experiments.base import ExperimentParams, ExperimentResult
 from repro.experiments.runner import main as experiments_main
-from repro.harness import bench
+from repro.harness import bench, invariants
 from repro.harness.checkpoint import RunDirectory
 from repro.harness.doctor import diagnose
 from repro.harness.doctor import main as doctor_main
@@ -136,6 +138,8 @@ def test_loadgen_rejects_bad_flags(argv, flag, capsys, tmp_path):
         (["--backoff", "nan"], "--backoff"),
         (["--breaker", "-1"], "--breaker"),
         (["--heartbeat-every", "-1"], "--heartbeat-every"),
+        (["--inject", "bogus"], "--inject"),
+        (["--inject-fault", "bogus"], "--inject-fault"),
     ],
 )
 def test_experiments_rejects_bad_flags(argv, flag, capsys, tmp_path):
@@ -145,6 +149,50 @@ def test_experiments_rejects_bad_flags(argv, flag, capsys, tmp_path):
     code, stderr = run_cli(experiments_main, argv, capsys, 10.0)
     assert_usage_error(code, stderr, flag)
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    ("variable", "value", "message"),
+    [
+        ("REPRO_INJECT", "bogus", "error: REPRO_INJECT: bad fault spec 'bogus'"),
+        # Workers read it under --no-invariants: unchecked up front, every
+        # cell would run its simulation and then fail.
+        ("REPRO_CHECK_INVARIANTS", "enable", "error: REPRO_CHECK_INVARIANTS='enable'"),
+    ],
+)
+def test_experiments_names_a_bad_environment_variable(
+    variable, value, message, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(invariants, "_enabled", None)
+    monkeypatch.setenv(variable, value)
+    run_dir = tmp_path / "run"
+    argv = ["table1", "--quick", "--suite", "gcc", "--run-dir", str(run_dir), "--no-invariants"]
+    code, stderr = run_cli(experiments_main, argv, capsys, 10.0)
+    assert code == 2, stderr
+    assert message in stderr, stderr
+    assert "Traceback" not in stderr and not run_dir.exists()
+
+
+@pytest.mark.parametrize("value", ["enable", "2"])
+def test_invariants_flag_rejects_unknown_values(value, monkeypatch):
+    # Unchecked, both read as "off" and silently skipped every check.
+    monkeypatch.setattr(invariants, "_enabled", None)
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", value)
+    with pytest.raises(ValueError) as excinfo:
+        invariants.check_enabled()
+    message = str(excinfo.value)
+    assert f"REPRO_CHECK_INVARIANTS={value!r}" in message
+    assert "1/true/yes/on" in message and "0/false/no/off or empty" in message
+
+
+@pytest.mark.parametrize(
+    ("value", "enabled"),
+    [(" On ", True), ("yes", True), ("", False), ("0", False), ("FALSE", False), ("off", False)],
+)
+def test_invariants_flag_accepts_on_and_off_spellings(value, enabled, monkeypatch):
+    monkeypatch.setattr(invariants, "_enabled", None)
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", value)
+    assert invariants.check_enabled() is enabled
 
 
 @pytest.mark.parametrize(

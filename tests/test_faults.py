@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import errno
 import json
 import os
@@ -232,6 +233,32 @@ class TestDurable:
     def test_content_checksum_is_stable(self):
         assert content_checksum("abc") == content_checksum("abc")
         assert content_checksum("abc") != content_checksum("abd")
+
+    def test_run_directory_writes_go_through_the_helper(self):
+        # A truncating write or a rename outside atomic_write_text can be
+        # torn by a crash and carries no fsync, so a resumed campaign could
+        # trust a half-written artifact.  Append-mode open stays legal:
+        # events.jsonl is an append stream whose torn tail is tolerated.
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        found = []
+        for path in sorted([*(src / "harness").rglob("*.py"), *(src / "obs").rglob("*.py")]):
+            if path.name == "durable.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = ast.unparse(node.func)
+                where = f"{path.relative_to(src)}:{node.lineno} {name}"
+                if name == "open":
+                    mode = node.args[1] if len(node.args) > 1 else next(
+                        (kw.value for kw in node.keywords if kw.arg == "mode"),
+                        ast.Constant("r"))
+                    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                            and "w" not in mode.value):
+                        found.append(f"{where}(..., {ast.unparse(mode)})")
+                elif name == "os.replace" or name.endswith((".write_text", ".write_bytes")):
+                    found.append(where)
+        assert found == []
 
 
 # ----------------------------------------------------------------------

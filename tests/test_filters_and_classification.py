@@ -84,13 +84,6 @@ class TestFilterTruthTable:
 
 
 class TestFilterMetadata:
-    def test_only_out_needs_no_extra_bits(self):
-        needs = {f: f.needs_conflict_bits for f in ALL_FILTERS}
-        assert not needs[ConflictFilter.OUT_CONFLICT]
-        assert all(
-            needs[f] for f in ALL_FILTERS if f is not ConflictFilter.OUT_CONFLICT
-        )
-
     def test_paper_defaults(self):
         assert DEFAULT_FILTER is ConflictFilter.OUT_CONFLICT
         assert MOST_LIBERAL_FILTER is ConflictFilter.OR_CONFLICT

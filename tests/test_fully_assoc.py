@@ -60,17 +60,6 @@ class TestBasics:
         assert not fa.probe(1)
         assert not fa.invalidate(1)
 
-    def test_lru_block_and_contents(self):
-        fa = FullyAssociativeLRU(3)
-        for b in (5, 6, 7):
-            fa.access(b)
-        fa.access(5)
-        assert fa.lru_block() == 6
-        assert fa.contents_lru_to_mru() == [6, 7, 5]
-
-    def test_lru_block_empty(self):
-        assert FullyAssociativeLRU(2).lru_block() is None
-
     def test_len_contains_flush(self):
         fa = FullyAssociativeLRU(4)
         fa.access(1)

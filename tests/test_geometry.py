@@ -78,13 +78,6 @@ class TestAddressMath:
         b = a + dm16k.size  # same index, different tag
         assert dm16k.set_index(a) == dm16k.set_index(b)
         assert dm16k.tag(a) != dm16k.tag(b)
-        assert dm16k.conflicts_with(a, b)
-
-    def test_same_line_does_not_conflict(self, dm16k):
-        assert not dm16k.conflicts_with(0x1000, 0x1008)
-
-    def test_different_set_does_not_conflict(self, dm16k):
-        assert not dm16k.conflicts_with(0x1000, 0x1040)
 
     def test_compose_rejects_out_of_range_index(self, dm16k):
         with pytest.raises(ValueError):

@@ -79,10 +79,6 @@ class TestSimulateShared:
         amb_miss = sum(t.miss_rate for t in amb.threads)
         assert amb_miss < base_miss
 
-    def test_total_conflict_rate(self):
-        res = simulate_shared([build("tomcatv", 3_000), build("gcc", 3_000)])
-        assert 0 < res.total_conflict_rate < 100
-
 
 class TestSharingPenalties:
     def test_reports_per_thread(self):

@@ -12,7 +12,9 @@ Covers the acceptance criteria of the obs subsystem:
 * the runner CLI rejects inconsistent observability flag combinations.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -686,8 +688,9 @@ class TestSchemaDrift:
     Before this regression suite, a type present in ``EVENT_TYPES`` but
     missing from ``REQUIRED_FIELDS`` crashed ``validate_lines`` with a
     KeyError instead of failing the stream with a diagnostic.  Both now
-    come from one table in :mod:`repro.obs.events`, and the static
-    obs-schema checker (RPR030-031) joins it with the emit sites.
+    come from one table in :mod:`repro.obs.events`, and
+    ``test_emit_sites_and_schema_name_the_same_events`` joins it with the
+    emit sites.
     """
 
     def test_event_types_and_required_fields_agree(self):
@@ -696,6 +699,22 @@ class TestSchemaDrift:
 
         assert EVENT_TYPES == frozenset(REQUIRED_FIELDS)
         assert validate_mod.REQUIRED_FIELDS is REQUIRED_FIELDS
+
+    def test_emit_sites_and_schema_name_the_same_events(self):
+        # A name emitted but absent from the table never validates, and a
+        # table entry that nothing emits is a dead contract.  The emit
+        # sites are the literal first arguments of ``.emit(...)`` calls.
+        from repro.obs.events import REQUIRED_FIELDS
+
+        emitted = set()
+        for path in (Path(__file__).resolve().parent.parent / "src").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "emit" and node.args
+                        and isinstance(node.args[0], ast.Constant)
+                        and isinstance(node.args[0].value, str)):
+                    emitted.add(node.args[0].value)
+        assert emitted == set(REQUIRED_FIELDS)
 
     def test_type_known_to_emitter_but_not_validator_fails_cleanly(
         self, monkeypatch

@@ -142,7 +142,6 @@ class TestStatsAndIntrospection:
         c.access(0x1000)
         assert c.stats.accesses == 2
         assert c.stats.hits == 1
-        assert c.secondary_hit_fraction == 0.0
 
     def test_occupancy(self, geo):
         c = pac(geo)

@@ -172,13 +172,11 @@ class TestEvictionHook:
 
 
 class TestIntrospection:
-    def test_occupancy_and_resident_blocks(self, tiny):
+    def test_occupancy(self, tiny):
         c = SetAssociativeCache(tiny)
         c.access(0x1000)
         c.access(0x2040)
         assert c.occupancy() == 2
-        blocks = set(c.resident_blocks())
-        assert blocks == {0x1000, 0x2040}
 
     def test_flush(self, tiny):
         c = SetAssociativeCache(tiny)
@@ -186,13 +184,6 @@ class TestIntrospection:
         c.flush()
         assert c.occupancy() == 0
         assert not c.probe(0x1000)
-
-    def test_set_conflict_bit(self, tiny):
-        c = SetAssociativeCache(tiny)
-        c.access(0x1000)
-        assert c.set_conflict_bit(0x1000, True)
-        assert c.peek_line(0x1000).conflict_bit
-        assert not c.set_conflict_bit(0x9000, True)
 
 
 class TestCapacityBehaviour:

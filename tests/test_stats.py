@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import pkgutil
+import typing
 
 import repro
 from repro.cache.stats import (
@@ -13,6 +14,7 @@ from repro.cache.stats import (
     SystemStats,
     TimingStats,
 )
+from repro.extensions.page_remap import RemapPolicy
 from repro.system.multithreaded import ThreadStats
 
 
@@ -43,11 +45,6 @@ class TestBufferStats:
         assert b.hit_rate(1000) == 6.4
         assert b.swap_rate(1000) == 1.7
         assert b.fill_rate(1000) == 6.6
-
-    def test_prefetch_accuracy(self):
-        b = BufferStats(prefetches_issued=100, prefetches_used=40)
-        assert b.prefetch_accuracy == 40.0
-        assert BufferStats().prefetch_accuracy == 0.0
 
     def test_probe_hit_rate(self):
         b = BufferStats(probes=50, hits=10)
@@ -85,14 +82,12 @@ class TestClassificationStats:
 
 
 class TestTimingStats:
-    def test_ipc_cpi(self):
+    def test_ipc(self):
         t = TimingStats(cycles=100.0, instructions=300)
         assert t.ipc == 3.0
-        assert t.cpi == 100.0 / 300.0
 
     def test_zero_safe(self):
         assert TimingStats().ipc == 0.0
-        assert TimingStats().cpi == 0.0
 
 
 class TestSystemStats:
@@ -101,7 +96,29 @@ class TestSystemStats:
         s.l1 = CacheStats(accesses=100, hits=80)
         s.buffer = BufferStats(hits=10)
         assert s.total_hit_rate == 90.0
-        assert s.effective_miss_rate == 10.0
+
+
+def _repro_classes() -> dict:
+    """Every class defined in a ``repro`` module, by qualified name."""
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                found[f"{info.name}.{obj.__qualname__}"] = obj
+    return found
+
+
+#: The only fields of a ``Counters`` subclass that are neither ``int`` nor
+#: nested ``Counters``: cycle counts that bus/bank contention makes
+#: fractional, and labels that ``reset()`` and ``merge()`` leave alone.
+NOT_INT_FIELDS = {
+    "TimingStats.cycles": float,
+    "TimingStats.stall_cycles": float,
+    "TimingStats.contention_cycles": float,
+    "ThreadStats.name": str,
+    "RemapStats.policy": RemapPolicy,
+}
 
 
 def _own_counter_methods(cls: type) -> list:
@@ -118,12 +135,7 @@ def _own_counter_methods(cls: type) -> list:
 
 class TestOneCountersImplementation:
     def test_no_stats_dataclass_defines_its_own_reset_or_merge(self):
-        own = {}
-        for info in pkgutil.walk_packages(repro.__path__, "repro."):
-            module = importlib.import_module(info.name)
-            for obj in vars(module).values():
-                if isinstance(obj, type) and obj.__module__ == module.__name__:
-                    own[f"{info.name}.{obj.__qualname__}"] = _own_counter_methods(obj)
+        own = {name: _own_counter_methods(cls) for name, cls in _repro_classes().items()}
         assert {
             "repro.cache.stats.CacheStats",
             "repro.cache.stats.BufferStats",
@@ -134,6 +146,23 @@ class TestOneCountersImplementation:
         } <= set(own)
         assert {name: methods for name, methods in own.items() if methods} == {}
         assert "reset" in vars(Counters) and "merge" in vars(Counters)
+
+    def test_every_stats_dataclass_keeps_int_counters(self):
+        # The counter deltas in events.jsonl must sum exactly to the final
+        # snapshot, which the Figure 1-2 accuracy and Section 5 speedup
+        # tables rest on; a float counter accumulates rounding error.
+        classes = _repro_classes().values()
+        stats = [c for c in classes if dataclasses.is_dataclass(c) and c.__name__.endswith("Stats")]
+        assert [c.__name__ for c in stats if not issubclass(c, Counters)] == []
+        not_int = {}
+        for cls in classes:
+            if issubclass(cls, Counters) and cls is not Counters:
+                hints = typing.get_type_hints(cls)
+                for f in dataclasses.fields(cls):
+                    kind = hints[f.name]
+                    if kind is not int and not (isinstance(kind, type) and issubclass(kind, Counters)):
+                        not_int[f"{cls.__name__}.{f.name}"] = kind
+        assert not_int == NOT_INT_FIELDS
 
     def test_predicate_flags_a_hand_written_reset(self):
         @dataclasses.dataclass

@@ -65,10 +65,6 @@ class TestTrace:
         assert t.total_instructions == n * 32_767 + n
         assert t.total_instructions > 2**31
 
-    def test_concat(self):
-        t = Trace([1]).concat(Trace([2]))
-        assert list(t.addresses) == [1, 2]
-
     def test_footprint_lines(self):
         t = Trace([0, 8, 64, 65, 128])
         assert t.footprint_lines(64) == 3

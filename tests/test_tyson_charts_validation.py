@@ -5,7 +5,7 @@ import pytest
 from repro.buffers.tyson import TysonPredictor, TysonResult, simulate_tyson
 from repro.cache.geometry import CacheGeometry
 from repro.experiments.base import ExperimentResult
-from repro.experiments.charts import bar_chart, grouped_chart
+from repro.experiments.charts import bar_chart
 from repro.workloads.spec_analogs import build
 from repro.workloads.trace import Trace
 
@@ -111,12 +111,6 @@ class TestCharts:
         r.add_row("gcc", "hello")
         with pytest.raises(ValueError):
             bar_chart(r, "label")
-
-    def test_grouped_chart_renders_all_numeric_columns(self):
-        r = ExperimentResult("figX", "demo", headers=["bench", "a", "b"])
-        r.add_row("gcc", 1.0, 2.0)
-        text = grouped_chart(r)
-        assert "figX: a" in text and "figX: b" in text
 
 
 class TestValidation:
