@@ -45,10 +45,9 @@ class Counters:
     def merge(self: _C, other: _C) -> None:
         """Accumulate another stats object of the same class into this one.
 
-        Used by multi-thread / multi-shard rollups.  Merged
-        :class:`SystemStats` no longer satisfy the single-run coupling
-        laws (pass ``coupled=False`` to the invariant checker), but every
-        per-object law still holds and no counter is dropped.
+        Used by multi-thread / multi-shard rollups; no counter is
+        dropped.  The invariant checker validates each run's own stats
+        and never sees a merged object.
         """
         for f in fields(self):
             value = getattr(self, f.name)

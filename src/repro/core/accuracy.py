@@ -33,6 +33,7 @@ from repro.mrc import stack
 from repro.mrc.stack import COLD
 from repro.system.simulator import Beat, MeasuredWindow
 from repro.system.vector import l1_pass
+from repro.workloads.trace import address_array
 
 
 @dataclass
@@ -120,7 +121,9 @@ def measure_accuracy(
     ----------
     addresses:
         Byte addresses of the data references, in program order (any
-        iterable of ints; the stream starts cold).
+        iterable of integers in ``[0, 2**63)``, checked as
+        :class:`~repro.workloads.trace.Trace` checks them; the stream
+        starts cold).
     geometry:
         The cache configuration under study (Figure 1 sweeps four of
         these; Figure 2 fixes 16KB direct-mapped).
@@ -132,9 +135,7 @@ def measure_accuracy(
     AccuracyResult
         Confusion matrix plus cache-level statistics.
     """
-    if not isinstance(addresses, np.ndarray):
-        addresses = list(addresses)
-    blocks = np.asarray(addresses, dtype=np.int64) >> geometry.offset_bits
+    blocks = address_array(addresses) >> geometry.offset_bits
     n = int(len(blocks))
     window = MeasuredWindow(
         bench="accuracy",
@@ -178,12 +179,11 @@ def measure_accuracy(
 
     window.walk(beat)
     window.close(_accuracy_counters(result))
-    # Harness debug flag: validate that misses partition exactly into
-    # conflict + capacity (compulsory inside capacity) before the numbers
-    # can reach any table.
-    from repro.harness.invariants import maybe_check_accuracy
+    # Misses partition exactly into conflict + capacity (compulsory
+    # inside capacity) before the numbers can reach any table.
+    from repro.harness.invariants import check_accuracy_result
 
-    maybe_check_accuracy(result)
+    check_accuracy_result(result)
     return result
 
 

@@ -40,7 +40,6 @@ from typing import Callable, List, Optional
 from repro import faults
 from repro.argtypes import at_least, checked
 from repro.experiments.base import ExperimentParams, ExperimentResult, format_result
-from repro.harness import invariants
 from repro.harness.cells import (
     SHARDED_EXPERIMENTS,
     VARIANTS,
@@ -104,8 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=checked(int, lambda n: HarnessConfig(jobs=n)),
         default=None,
         metavar="N",
-        help="supervise up to N cells concurrently "
-        "(default: CPU count; forced to 1 by --no-isolate)",
+        help="supervise up to N cells concurrently (default: CPU count)",
     )
     harness.add_argument(
         "--run-dir",
@@ -145,16 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strict",
         action="store_true",
         help="exit non-zero if any cell ends FAILED or TIMEOUT",
-    )
-    harness.add_argument(
-        "--no-isolate",
-        action="store_true",
-        help="run cells in-process (no crash/hang protection; debugging)",
-    )
-    harness.add_argument(
-        "--no-invariants",
-        action="store_true",
-        help="skip statistics conservation-law checks after each simulation",
     )
     harness.add_argument(
         "--inject-fault",
@@ -310,11 +298,6 @@ def main(argv: List[str] | None = None) -> int:
             faults.activate(faults.parse_plan(os.environ["REPRO_INJECT"]))
         except ValueError as exc:
             parser.error(f"REPRO_INJECT: {exc}")
-    # A bad REPRO_CHECK_INVARIANTS fails here once, not in every cell.
-    try:
-        invariants.check_enabled()
-    except ValueError as exc:
-        parser.error(str(exc))
 
     resume = args.resume is not None
     run_dir_path = args.resume if isinstance(args.resume, str) else args.run_dir
@@ -357,23 +340,14 @@ def main(argv: List[str] | None = None) -> int:
             heartbeat_every=args.heartbeat_every,
         )
 
-    jobs = args.jobs
-    if jobs is None:
-        # Parallel dispatch needs isolated workers, so --no-isolate runs
-        # stay serial unless the user explicitly (and fatally) asks.
-        jobs = 1 if args.no_isolate else (os.cpu_count() or 1)
-    try:
-        config = HarnessConfig(
-            timeout_s=args.timeout,
-            retries=args.retries,
-            backoff_s=args.backoff,
-            isolate=not args.no_isolate,
-            check_invariants=not args.no_invariants,
-            jobs=jobs,
-            breaker_threshold=args.breaker,
-        )
-    except ValueError as exc:
-        parser.error(f"invalid harness options: {exc}")
+    # Every value was checked as it was parsed.
+    config = HarnessConfig(
+        timeout_s=args.timeout,
+        retries=args.retries,
+        backoff_s=args.backoff,
+        jobs=args.jobs if args.jobs is not None else (os.cpu_count() or 1),
+        breaker_threshold=args.breaker,
+    )
 
     report = run_cells(
         cells,

@@ -48,10 +48,16 @@ from repro.experiments.base import ExperimentParams
 from repro.harness.checkpoint import (
     SCHEMA_VERSION,
     RunDirectory,
+    _dump,
     verify_artifact_text,
 )
 from repro.harness.durable import atomic_write_text
-from repro.harness.report import REPORT_SCHEMA_VERSION, CellStatus
+from repro.harness.report import (
+    REPORT_SCHEMA_VERSION,
+    CellReport,
+    CellStatus,
+    RunReport,
+)
 from repro.obs.validate import is_utf8, not_utf8, read_events, split_torn_tail
 
 VERDICT_CLEAN = "CLEAN"
@@ -176,10 +182,7 @@ def _recover_manifest(
             quarantined = _quarantine(run, run.manifest_path, apply)
             diag.repair(f"quarantined bad manifest as {quarantined.name}")
         if apply:
-            atomic_write_text(
-                run.manifest_path,
-                json.dumps(backup, sort_keys=True, indent=2) + "\n",
-            )
+            atomic_write_text(run.manifest_path, _dump(backup))
         diag.repair("restored manifest.json from manifest.json.bak")
         return backup
     diag.problems.append(
@@ -400,7 +403,6 @@ def _rebuild_report(
     existing = (
         _load_json(run.report_path, diag) if run.report_path.exists() else None
     )
-    have = set(diag.cells_intact)
     if (
         existing is not None
         and existing.get("schema") == REPORT_SCHEMA_VERSION
@@ -411,51 +413,41 @@ def _rebuild_report(
         diag.problems.append("report.json is torn")
     elif not run.report_path.exists():
         diag.problems.append("report.json is missing (run died before finalize)")
-    params_obj = manifest.get("params")
-    params = (
-        cast(Dict[str, object], params_obj)
-        if isinstance(params_obj, dict)
-        else {}
-    )
-    seed = params.get("seed", 0)
-    cells: List[Dict[str, object]] = []
-    for cell_id in diag.cells_intact + diag.cells_lost:
-        if cell_id in have:
-            entry = run.load_checkpoint(cell_id)
-            status = entry.status if entry is not None else CellStatus.OK.value
-            attempts = entry.attempts if entry is not None else 1
-            cells.append(
-                {
-                    "cell": cell_id,
-                    "status": status,
-                    "attempts": attempts,
-                    "seed": seed,
-                }
+    # _recover_manifest returns only manifests with valid params.
+    params = cast(Dict[str, object], manifest["params"])
+    seed = cast(int, params["seed"])
+    # Intact cells report their origin stub, as a resume would; lost
+    # ones are SKIPPED with an error, which makes the report not ok.
+    report = RunReport(params=params)
+    for cell_id in diag.cells_intact:
+        entry = run.load_checkpoint(cell_id)
+        report.add(
+            CellReport(
+                cell_id,
+                CellStatus.SKIPPED,
+                attempts=0,
+                seed=seed,
+                origin_status=(
+                    entry.status if entry is not None else CellStatus.OK.value
+                ),
+                origin_attempts=entry.attempts if entry is not None else 1,
             )
-        else:
-            cells.append(
-                {
-                    "cell": cell_id,
-                    "status": CellStatus.SKIPPED.value,
-                    "attempts": 0,
-                    "seed": seed,
-                    "error": "artifact lost in crash; re-run with --resume",
-                }
-            )
-    statuses = [str(c["status"]) for c in cells]
-    report: Dict[str, object] = {
-        "schema": REPORT_SCHEMA_VERSION,
-        "params": params,
-        "cells": cells,
-        "summary": {s.value.lower(): statuses.count(s.value) for s in CellStatus},
-        "ok": not diag.cells_lost,
-    }
-    if apply:
-        atomic_write_text(
-            run.report_path, json.dumps(report, sort_keys=True, indent=2) + "\n"
         )
+    for cell_id in diag.cells_lost:
+        report.add(
+            CellReport(
+                cell_id,
+                CellStatus.SKIPPED,
+                attempts=0,
+                seed=seed,
+                error="artifact lost in crash; re-run with --resume",
+            )
+        )
+    if apply:
+        run.save_report(report.to_dict())
     diag.repair(
-        f"rebuilt report.json from {len(have)} surviving checkpoint(s)"
+        f"rebuilt report.json from {len(diag.cells_intact)} surviving "
+        "checkpoint(s)"
     )
 
 
@@ -471,10 +463,7 @@ def diagnose(run_dir: Path, *, apply: bool = True) -> Diagnosis:
     manifest_changed = _audit_cells(run, manifest, diag, apply)
     if manifest_changed:
         if apply:
-            atomic_write_text(
-                run.manifest_path,
-                json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-            )
+            atomic_write_text(run.manifest_path, _dump(manifest))
         diag.repair("rewrote manifest.json with the synced checksum registry")
     _repair_events(run, diag, apply)
     _rebuild_report(run, manifest, diag, apply)

@@ -7,8 +7,9 @@ pipe buffer; a cell that produces nothing within the timeout is killed
 and recorded as TIMEOUT instead of stalling the whole campaign.
 
 Failures and timeouts are retried up to ``retries`` times with
-exponential backoff.  Backoff jitter is drawn from a generator seeded by
-(run seed, cell id, attempt), so a re-run of the same campaign sleeps the
+exponential backoff (factor :data:`BACKOFF_FACTOR`).  Backoff jitter, up
+to :data:`JITTER` of the delay, is drawn from a generator seeded by (run
+seed, cell id, attempt), so a re-run of the same campaign sleeps the
 same amounts — the harness introduces no nondeterminism of its own.
 
 Results cross the process boundary as the same schema-versioned dicts the
@@ -55,7 +56,6 @@ from typing import Callable, List, Optional, Tuple, Union
 from repro import faults
 from repro.experiments.base import ExperimentParams, ExperimentResult
 from repro.faults import FaultPlan, InjectedCrash
-from repro.harness import invariants
 from repro.harness.cells import CellSpec, FaultInjection, maybe_inject, run_cell
 from repro.harness.checkpoint import CheckpointError, RunDirectory
 from repro.harness.report import CellReport, CellStatus, RunReport
@@ -74,15 +74,9 @@ class HarnessConfig:
     """Supervision knobs for one harness run.
 
     ``timeout_s`` bounds each *attempt*, not the whole cell; ``retries``
-    is the number of extra attempts after the first.  ``isolate=False``
-    runs cells in-process (no timeout protection — crash isolation and
-    hang killing need a worker process) and exists for debugging and for
-    environments where fork/spawn is unavailable.
-
-    ``jobs`` is the number of cells supervised concurrently.  Parallel
-    dispatch needs worker-process isolation (an in-process cell would
-    share and corrupt the global invariant flag, and cannot be killed),
-    so ``jobs > 1`` with ``isolate=False`` is rejected.
+    is the number of extra attempts after the first; ``backoff_s`` is the
+    delay before the first retry.  ``jobs`` is the number of cells
+    supervised concurrently, each in its own worker process.
 
     ``breaker_threshold`` is how many *consecutive* infrastructure
     failures (spawn errors, workers dying without a result, checkpoint
@@ -93,10 +87,6 @@ class HarnessConfig:
     timeout_s: Optional[float] = None
     retries: int = 1
     backoff_s: float = 0.5
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
-    isolate: bool = True
-    check_invariants: bool = True
     jobs: int = 1
     breaker_threshold: int = 5
 
@@ -105,25 +95,27 @@ class HarnessConfig:
             raise ValueError("timeout_s must be positive (or None)")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if not (
-            self.backoff_s >= 0 and self.backoff_factor >= 1 and self.jitter >= 0
-        ):
-            raise ValueError("backoff must be >= 0, factor >= 1, jitter >= 0")
+        if not self.backoff_s >= 0:
+            raise ValueError("backoff must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.jobs > 1 and not self.isolate:
-            raise ValueError("jobs > 1 requires worker isolation (isolate=True)")
         if self.breaker_threshold < 0:
             raise ValueError("breaker_threshold must be >= 0 (0 disables)")
+
+
+#: Each retry waits this many times longer than the one before.
+BACKOFF_FACTOR = 2.0
+#: A retry's delay grows by up to this fraction, seeded per attempt.
+JITTER = 0.25
 
 
 def backoff_delay(
     config: HarnessConfig, cell_id: str, attempt: int, seed: int
 ) -> float:
     """Deterministic exponential backoff with jitter, in seconds."""
-    base = config.backoff_s * config.backoff_factor ** (attempt - 1)
+    base = config.backoff_s * BACKOFF_FACTOR ** (attempt - 1)
     rng = random.Random(f"{seed}:{cell_id}:{attempt}")
-    return base * (1.0 + config.jitter * rng.random())
+    return base * (1.0 + JITTER * rng.random())
 
 
 def _start_method() -> str:
@@ -182,14 +174,11 @@ def _worker(
     params: ExperimentParams,
     inject: Optional[FaultInjection],
     attempt: int,
-    check_invariants: bool,
     obs_config: Optional[ObsConfig],
     fault_plan: Optional[FaultPlan] = None,
 ) -> None:
     """Run one cell and ship its result (or traceback) over the pipe."""
     try:
-        if check_invariants:
-            invariants.set_enabled(True)
         if fault_plan is not None:
             # Each worker counts its own site hits from zero, so the
             # same plan crashes the same cell at the same point on every
@@ -231,7 +220,6 @@ def _attempt_isolated(
             params,
             inject,
             attempt,
-            config.check_invariants,
             obs_config,
             faults.active_plan(),
         ),
@@ -285,36 +273,6 @@ def _attempt_isolated(
     return (_ERROR, None, payload.get("error", "unknown worker error"))
 
 
-def _attempt_inline(
-    spec: CellSpec,
-    params: ExperimentParams,
-    config: HarnessConfig,
-    inject: Optional[FaultInjection],
-    attempt: int,
-    obs_config: Optional[ObsConfig] = None,
-) -> Tuple[str, Optional[ExperimentResult], Optional[str]]:
-    previous = invariants._enabled
-    obs_state = obs_events.snapshot_state()
-    try:
-        if config.check_invariants:
-            invariants.set_enabled(True)
-        if obs_config is not None:
-            obs_events.activate(obs_config, cell=spec.cell_id)
-        maybe_inject(spec, inject, attempt)
-        # Round-trip through the artifact schema even inline, so both
-        # execution modes return exactly what a resume would reload.
-        with maybe_profile(obs_config, spec.cell_id, attempt):
-            result = run_cell(spec, params)
-        return (_OK, ExperimentResult.from_dict(result.to_dict()), None)
-    except Exception:
-        return (_ERROR, None, traceback.format_exc())
-    finally:
-        invariants.set_enabled(previous)
-        if obs_config is not None:
-            obs_events.deactivate()
-            obs_events.restore_state(obs_state)
-
-
 # ----------------------------------------------------------------------
 # The supervised run
 # ----------------------------------------------------------------------
@@ -322,7 +280,6 @@ def _supervise_cell(
     spec: CellSpec,
     params: ExperimentParams,
     config: HarnessConfig,
-    attempt_fn: Callable,
     run_dir: Optional[RunDirectory],
     resume: bool,
     inject: Optional[FaultInjection],
@@ -350,8 +307,8 @@ def _supervise_cell(
     )
     with tracer.span("cell", cell=spec.cell_id) as cell_span:
         report, result = _drive_cell(
-            spec, params, config, attempt_fn, run_dir, resume, inject,
-            obs_config, tracer, breaker,
+            spec, params, config, run_dir, resume, inject, obs_config,
+            tracer, breaker,
         )
         cell_span.set(status=report.status.value, attempts=report.attempts)
     if trace_on:
@@ -363,7 +320,6 @@ def _drive_cell(
     spec: CellSpec,
     params: ExperimentParams,
     config: HarnessConfig,
-    attempt_fn: Callable,
     run_dir: Optional[RunDirectory],
     resume: bool,
     inject: Optional[FaultInjection],
@@ -410,7 +366,7 @@ def _drive_cell(
     for attempt in range(1, config.retries + 2):
         attempts = attempt
         with tracer.span("attempt", attempt=attempt) as attempt_span:
-            kind, result, error = attempt_fn(
+            kind, result, error = _attempt_isolated(
                 spec, params, config, inject, attempt, obs_config
             )
             attempt_span.set(outcome=kind)
@@ -495,7 +451,6 @@ def run_cells(
     keeps every obs code path dormant.
     """
     report = RunReport(params=params.to_dict())
-    attempt_fn = _attempt_isolated if config.isolate else _attempt_inline
     breaker = _CircuitBreaker(config.breaker_threshold)
     event_log: Optional[EventLog] = None
     if obs_config is not None and obs_config.metrics:
@@ -509,8 +464,8 @@ def run_cells(
 
     def supervise(spec: CellSpec) -> Tuple[CellReport, Optional[ExperimentResult]]:
         return _supervise_cell(
-            spec, params, config, attempt_fn, run_dir, resume, inject,
-            obs_config, event_log, breaker,
+            spec, params, config, run_dir, resume, inject, obs_config,
+            event_log, breaker,
         )
 
     try:

@@ -10,23 +10,17 @@ corrupted state (or a bookkeeping bug), and its numbers must never reach
 EXPERIMENTS.md silently.
 
 The checks are cheap (a handful of integer comparisons per *run*, not per
-reference) and are applied in two places:
-
-* the experiment harness enables them in every worker, so each
-  :meth:`MemorySystem.finish` validates its own :class:`SystemStats`;
-* tests call the ``check_*`` functions directly on deliberately corrupted
-  objects.
-
-The hook in :meth:`MemorySystem.finish` is gated by a debug flag: call
-:func:`set_enabled`, or set ``REPRO_CHECK_INVARIANTS=1`` in the
-environment.  Outside the harness and tests the flag defaults to off so
-library users pay nothing.
+reference) and always on: every driver that produces a run's statistics
+— :meth:`MemorySystem.finish`, the buffered replay's and the
+pseudo-associative system's ``finish()``, the vector engine's numpy path
+and :func:`~repro.core.accuracy.measure_accuracy` — validates them
+before returning.  Tests also call the ``check_*`` functions directly on
+deliberately corrupted objects.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import fields
 from typing import List, Optional
 
@@ -39,12 +33,6 @@ from repro.cache.stats import (
     TimingStats,
 )
 
-#: Environment variable consulted when no explicit flag has been set,
-#: and its accepted spellings (compared stripped and lower-cased).
-ENV_FLAG = "REPRO_CHECK_INVARIANTS"
-_ON = ("1", "true", "yes", "on")
-_OFF = ("", "0", "false", "no", "off")
-
 #: Tolerances for the floating-point cycle-accounting closure.  The clock
 #: accumulates ``gap / issue_rate`` increments one reference at a time, so
 #: it drifts from the single-division ``instructions / issue_rate`` by a
@@ -52,36 +40,9 @@ _OFF = ("", "0", "false", "no", "off")
 _REL_TOL = 1e-6
 _ABS_TOL = 1e-3
 
-_enabled: Optional[bool] = None
-
 
 class InvariantViolation(RuntimeError):
     """A statistics object broke a conservation law."""
-
-
-def set_enabled(flag: Optional[bool]) -> None:
-    """Force invariant checking on/off; ``None`` defers to the environment."""
-    global _enabled
-    _enabled = flag
-
-
-def check_enabled() -> bool:
-    """Whether the :meth:`MemorySystem.finish` hook should validate stats.
-
-    Raises ``ValueError`` for an environment value that is neither on nor
-    off, so a typo such as ``enable`` cannot silently turn checking off.
-    """
-    if _enabled is not None:
-        return _enabled
-    value = os.environ.get(ENV_FLAG, "").strip().lower()
-    if value in _ON:
-        return True
-    if value in _OFF:
-        return False
-    raise ValueError(
-        f"{ENV_FLAG}={os.environ[ENV_FLAG]!r}: expected {'/'.join(_ON)} (check) "
-        f"or {'/'.join(_OFF[1:])} or empty (do not check)"
-    )
 
 
 def _fail(context: str, law: str, snapshot: object) -> None:
@@ -176,15 +137,12 @@ def check_system_stats(
     context: str = "system",
     *,
     issue_rate: Optional[float] = None,
-    coupled: bool = True,
 ) -> None:
     """Validate one full-run :class:`SystemStats` object.
 
-    ``coupled`` asserts the cross-object laws that hold for stats produced
-    by one :class:`~repro.system.memory_system.MemorySystem` run (every L1
-    access steps the clock; every L1 miss is classified exactly once).
-    Pass ``coupled=False`` for merged or synthetic stats where only the
-    per-object laws apply.
+    Beyond the per-object laws, the cross-object ones that hold for the
+    stats of one run: every L1 access steps the clock, and every L1 miss
+    is classified exactly once.
     """
     undeclared = _undeclared(stats)
     if undeclared:
@@ -200,8 +158,6 @@ def check_system_stats(
     if stats.memory_accesses > stats.l2.misses:
         _fail(context, f"memory accesses ({stats.memory_accesses}) exceed L2 "
               f"misses ({stats.l2.misses})", stats)
-    if not coupled:
-        return
     predicted = stats.conflict_misses_predicted + stats.capacity_misses_predicted
     if predicted != stats.l1.misses:
         _fail(context, f"predicted conflict + capacity ({predicted}) != L1 "
@@ -226,17 +182,3 @@ def check_accuracy_result(result: "object", context: str = "accuracy") -> None:
     if compulsory < 0 or compulsory > classification.true_capacities:
         _fail(context, f"compulsory misses ({compulsory}) outside the capacity "
               f"partition ({classification.true_capacities})", classification)
-
-
-def maybe_check_system(
-    stats: SystemStats, *, issue_rate: Optional[float] = None
-) -> None:
-    """Debug-flag-gated hook for :meth:`MemorySystem.finish`."""
-    if check_enabled():
-        check_system_stats(stats, issue_rate=issue_rate)
-
-
-def maybe_check_accuracy(result: "object") -> None:
-    """Debug-flag-gated hook for :func:`repro.core.accuracy.measure_accuracy`."""
-    if check_enabled():
-        check_accuracy_result(result)

@@ -178,14 +178,3 @@ def active_log() -> Optional[EventLog]:
 def heartbeat_every() -> int:
     """Heartbeat cadence in measured references (0 = no heartbeats)."""
     return _heartbeat_every
-
-
-def snapshot_state() -> Tuple[Optional[EventLog], int]:
-    """Capture activation state so in-process cells can restore it."""
-    return (_active_log, _heartbeat_every)
-
-
-def restore_state(state: Tuple[Optional[EventLog], int]) -> None:
-    """Inverse of :func:`snapshot_state` (does not close the old log)."""
-    global _active_log, _heartbeat_every
-    _active_log, _heartbeat_every = state

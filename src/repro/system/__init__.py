@@ -24,7 +24,7 @@ from repro.system.simulator import (
     speedup,
 )
 from repro.system.timing import TimingModel
-from repro.system.vector import simulate_vector, vector_supported
+from repro.system.vector import simulate_vector
 
 __all__ = [
     "AssistConfig",
@@ -49,5 +49,4 @@ __all__ = [
     "simulate_shared",
     "simulate_vector",
     "speedup",
-    "vector_supported",
 ]

@@ -168,9 +168,9 @@ class BufferedReplay:
             stall_cycles=stall,
             contention_cycles=contention,
         )
-        from repro.harness.invariants import maybe_check_system
+        from repro.harness.invariants import check_system_stats
 
-        maybe_check_system(stats, issue_rate=self.machine.timing.issue_rate)
+        check_system_stats(stats, issue_rate=self.machine.timing.issue_rate)
         return stats
 
     # ------------------------------------------------------------------

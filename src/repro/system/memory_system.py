@@ -149,17 +149,15 @@ class MemorySystem:
         uncounted, matching the paper's definition of a wasted prefetch
         (lost from the buffer before use) — the run simply ended.
 
-        When invariant checking is enabled (the experiment harness turns
-        it on in its workers; see :mod:`repro.harness.invariants`), the
-        final statistics are validated against the conservation laws
-        before being returned.
+        The final statistics are validated against the conservation laws
+        of :mod:`repro.harness.invariants` before being returned.
         """
         self.stats.timing = self.timing.finish()
-        from repro.harness.invariants import maybe_check_system
+        # Imported on first use: importing repro.harness at module level
+        # would add ~9 ms to every ``import repro``.
+        from repro.harness.invariants import check_system_stats
 
-        maybe_check_system(
-            self.stats, issue_rate=self.machine.timing.issue_rate
-        )
+        check_system_stats(self.stats, issue_rate=self.machine.timing.issue_rate)
         return self.stats
 
     # ------------------------------------------------------------------

@@ -75,9 +75,9 @@ class PacMemorySystem:
     def finish(self) -> SystemStats:
         """Drain the pipeline; validate the statistics as ``MemorySystem`` does."""
         self.stats.timing = self.timing.finish()
-        from repro.harness.invariants import maybe_check_system
+        from repro.harness.invariants import check_system_stats
 
-        maybe_check_system(self.stats, issue_rate=self.machine.timing.issue_rate)
+        check_system_stats(self.stats, issue_rate=self.machine.timing.issue_rate)
         return self.stats
 
 

@@ -12,7 +12,8 @@ Two engines produce byte-identical statistics:
   :mod:`repro.system.buffered`.
 
 ``engine="auto"`` (the default) picks the vector engine whenever the
-run is eligible.  Every simulation's measured window lives here:
+run is eligible; :func:`~repro.system.vector.simulate_vector` demands
+it.  Every simulation's measured window lives here:
 :func:`drive` runs it in chunks of references (the scalar engine, the
 buffered replay, the PAC and shared-cache runs), and the numpy passes
 of the vector engine and :func:`~repro.core.accuracy.measure_accuracy`
@@ -47,7 +48,7 @@ from repro.system.memory_system import MemorySystem
 from repro.system.policies import AssistConfig
 from repro.workloads.trace import Trace
 
-_ENGINES = ("auto", "scalar", "vector")
+_ENGINES = ("auto", "scalar")
 
 #: A heartbeat's payload: the counter snapshot, then the running rates.
 Beat = Tuple[Mapping[str, object], Mapping[str, object]]
@@ -83,35 +84,30 @@ def simulate(
     divide by zero or read 0.0.
 
     ``engine`` selects the implementation: ``"scalar"`` always uses the
-    reference per-reference loop, ``"vector"`` *demands* the fast
-    engine, and ``"auto"`` (the default) uses the fast engine when the
-    run is eligible, which is every run with a direct-mapped L1 and
-    every bufferless one.  For an ineligible cell (an assist buffer
-    beside an associative L1 — see
-    :func:`repro.system.vector.vector_ineligibility`)
-    ``"auto"`` falls back to the scalar engine, recording an
-    ``engine_fallback`` event with the reason when metrics are active,
-    while ``"vector"`` raises the reason — a demand that cannot be
-    honoured must not silently time the wrong engine.  The engines are
-    byte-identical, so auto's fallback never changes results.
+    reference per-reference loop, and ``"auto"`` (the default) uses the
+    fast engine when the run is eligible, which is every run with a
+    direct-mapped L1 and every bufferless one.  For an ineligible cell
+    (an assist buffer beside an associative L1 — see
+    :func:`repro.system.vector.vector_ineligibility`) ``"auto"`` falls
+    back to the scalar engine, recording an ``engine_fallback`` event
+    with the reason when metrics are active.  The engines are
+    byte-identical, so the fallback never changes results; a caller that
+    must time the fast engine calls
+    :func:`~repro.system.vector.simulate_vector`, which raises the reason
+    instead.
     """
     check_warmup(warmup, len(trace))
     if engine not in _ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}: expected one of {', '.join(_ENGINES)}"
         )
-    if engine != "scalar":
+    if engine == "auto":
         from repro.system import vector
 
         reason = vector.vector_ineligibility(policy, machine)
         if reason is None:
             return vector.simulate_vector(trace, policy, machine, warmup=warmup)
-        if engine == "vector":
-            raise ValueError(
-                f"engine='vector' cannot run this cell: {reason} — "
-                "use engine='auto' (scalar fallback) or engine='scalar'"
-            )
-        # auto: fall back to the scalar reference, leaving a trace in the
+        # Fall back to the scalar reference, leaving a trace in the
         # event stream so an instrumented campaign can tell "vector ran"
         # from "vector silently declined".
         log = obs_events.active_log()
@@ -311,7 +307,6 @@ def simulate_policies(
     machine: MachineConfig = PAPER_MACHINE,
     *,
     warmup: int = 0,
-    engine: str = "auto",
 ) -> Dict[str, SystemStats]:
     """Run the same trace through several policies (fresh system each).
 
@@ -327,8 +322,7 @@ def simulate_policies(
             "overwrite the other (use AssistConfig.renamed())"
         )
     return {
-        p.name: simulate(trace, p, machine, warmup=warmup, engine=engine)
-        for p in policies
+        p.name: simulate(trace, p, machine, warmup=warmup) for p in policies
     }
 
 

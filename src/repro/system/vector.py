@@ -148,17 +148,6 @@ def vector_ineligibility(
     return None
 
 
-def vector_supported(policy: AssistConfig, machine: MachineConfig) -> bool:
-    """True when the fast engine can reproduce this run exactly.
-
-    Bufferless cells run the numpy passes at any power-of-two L1
-    associativity; buffered cells run the buffered replay when the L1
-    is direct-mapped (see :func:`vector_ineligibility` for the reason
-    text otherwise).
-    """
-    return vector_ineligibility(policy, machine) is None
-
-
 # ----------------------------------------------------------------------
 # Pass 1: the L1 + MCT, per set
 # ----------------------------------------------------------------------
@@ -685,10 +674,9 @@ def simulate_vector(
     # scalar run.
     window.walk(lambda p: system_beat(_stats_at(prefixes, p)))
     window.close(stats.as_dict())
+    from repro.harness.invariants import check_system_stats
 
-    from repro.harness.invariants import maybe_check_system
-
-    maybe_check_system(stats, issue_rate=machine.timing.issue_rate)
+    check_system_stats(stats, issue_rate=machine.timing.issue_rate)
     return stats
 
 

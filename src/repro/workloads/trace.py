@@ -15,9 +15,63 @@ objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator, cast
 
 import numpy as np
+
+
+def _column(
+    name: str,
+    values: Iterable[object],
+    dtype: type[np.integer[Any]] | type[np.bool_],
+    minimum: int | None = None,
+) -> np.ndarray:
+    """``values`` as a 1-D ``dtype`` array, refusing what the cast would
+    change: another dtype (``np.bool_`` takes only booleans, an integer
+    dtype only integers) or an integer outside ``[minimum, dtype max]``.
+
+    An array already of ``dtype`` comes back as is, bounds-checked only
+    where its dtype's own range allows a bad value.
+    """
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    array = np.asarray(values)
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {array.shape}")
+    if issubclass(dtype, np.bool_):
+        if array.size and array.dtype.kind != "b":
+            raise ValueError(f"{name} must be booleans, got dtype {array.dtype}")
+        return array.astype(dtype, copy=False)
+    target = np.iinfo(dtype)
+    low = target.min if minimum is None else minimum
+    if array.dtype.kind in "iu":
+        # Scan only for a bound the array's own dtype can cross.
+        have = np.iinfo(array.dtype)
+        lo = int(array.min()) if array.size and have.min < low else low
+        hi = int(array.max()) if array.size and have.max > target.max else target.max
+    elif not array.size:
+        lo, hi = low, target.max  # an empty list reads as float64
+    elif isinstance(values, list) and all(type(v) is int for v in values):
+        # Python ints beyond every numpy integer type arrive as floats
+        # or objects; they are out of range, not of the wrong kind.
+        ints = cast("list[int]", values)
+        lo, hi = min(ints), max(ints)
+    else:
+        raise ValueError(f"{name} must be integers, got dtype {array.dtype}")
+    for value in (lo, hi):
+        if not low <= value <= target.max:
+            raise ValueError(f"{name} must lie in [{low}, {target.max}], got {value}")
+    return array.astype(dtype, copy=False)
+
+
+def address_array(addresses: Iterable[int]) -> np.ndarray:
+    """Byte addresses as the int64 array every simulator reads.
+
+    Raises ``ValueError`` for anything but integers in ``[0, 2**63)``:
+    a float would be truncated and a negative address would alias the
+    simulators' empty-slot sentinels.
+    """
+    return _column("addresses", addresses, np.int64, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -36,14 +90,21 @@ class Trace:
     Parameters
     ----------
     addresses:
-        Byte addresses, any integer array-like.
+        Byte addresses, integers in ``[0, 2**63)``.
     is_load:
-        Per-reference load flag; scalar True when omitted.
+        Per-reference load flag, booleans; all True when omitted.
     gaps:
-        Per-reference instruction gaps; scalar default 3 when omitted
-        (roughly one reference per 4 instructions, typical of SPEC95).
+        Per-reference instruction gaps, integers in ``[0, 32767]`` (they
+        are stored as int16); 3 each when omitted (roughly one reference
+        per 4 instructions, typical of SPEC95).
     name:
         Label for reports.
+    pcs:
+        Per-reference load PCs, int64 integers; 0 each when omitted.
+
+    Each column must be one-dimensional.  Anything else raises
+    ``ValueError`` naming the column, rather than being coerced: an
+    int64 or int16 array of the stored dtype is kept without a copy.
     """
 
     def __init__(
@@ -54,30 +115,26 @@ class Trace:
         name: str = "trace",
         pcs: Iterable[int] | None = None,
     ) -> None:
-        self.addresses = np.asarray(addresses, dtype=np.int64)
+        self.addresses = address_array(addresses)
         n = len(self.addresses)
         if is_load is None:
             self.is_load = np.ones(n, dtype=bool)
         else:
-            self.is_load = np.asarray(is_load, dtype=bool)
+            self.is_load = _column("is_load", is_load, np.bool_)
         if gaps is None:
             self.gaps = np.full(n, 3, dtype=np.int16)
         else:
-            self.gaps = np.asarray(gaps, dtype=np.int16)
+            self.gaps = _column("gaps", gaps, np.int16, minimum=0)
         if pcs is None:
             self.pcs = np.zeros(n, dtype=np.int64)
         else:
-            self.pcs = np.asarray(pcs, dtype=np.int64)
+            self.pcs = _column("pcs", pcs, np.int64)
         if len(self.is_load) != n or len(self.gaps) != n or len(self.pcs) != n:
             raise ValueError(
                 "addresses, is_load, gaps and pcs must have equal lengths "
                 f"(got {n}, {len(self.is_load)}, {len(self.gaps)}, "
                 f"{len(self.pcs)})"
             )
-        if n and self.addresses.min() < 0:
-            raise ValueError("addresses must be non-negative")
-        if n and self.gaps.min() < 0:
-            raise ValueError("gaps must be non-negative")
         self.name = name
 
     # ------------------------------------------------------------------

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.geometry import CacheGeometry
 from repro.cache.pseudo_assoc import PacVariant, PseudoAssociativeCache
 from repro.cache.stats import SystemStats
+from repro.core import accuracy
 from repro.harness.invariants import InvariantViolation, check_system_stats
+from repro.system import buffered, vector
 from repro.system.config import (
     MachineConfig,
     PAPER_MACHINE,
@@ -14,8 +16,13 @@ from repro.system.config import (
     TimingConfig,
 )
 from repro.system.memory_system import MemorySystem
+from repro.system.multithreaded import simulate_shared
+from repro.system.pac_system import simulate_pac
+from repro.system.policies import BASELINE
+from repro.system.simulator import simulate
 from repro.system.timing import TimingModel
-from repro.buffers import amb
+from repro.buffers import amb, victim
+from repro.workloads.spec_analogs import build
 
 
 class TestMachineConfig:
@@ -156,3 +163,61 @@ class TestUndeclaredCounters:
             check_system_stats(stats)
         for path in ("l1.hitz", "buffer.swapz", "memory_acesses"):
             assert path in str(excinfo.value)
+
+
+def one_more_ref(timing):
+    timing.memory_refs += 1
+
+
+def one_more_hit(result):
+    result.cache.hits += 1
+
+
+GCC = build("gcc", 2_000, 0)
+
+#: (entry point, the callable producing its counters, their damage, the
+#: law that catches it).  Each damaged callable runs inside the entry
+#: point's own call, before the statistics are returned.
+ENTRY_POINTS = {
+    "scalar": (
+        lambda: simulate(GCC, BASELINE, warmup=500, engine="scalar"),
+        (TimingModel, "finish"), one_more_ref, "timing saw",
+    ),
+    "buffered": (
+        lambda: simulate(GCC, victim.filter_both(), warmup=500),
+        (buffered, "TimingStats"), one_more_ref, "timing saw",
+    ),
+    "numpy": (
+        lambda: simulate(GCC, BASELINE, warmup=500),
+        (vector, "_replay_timing"), one_more_ref, "timing saw",
+    ),
+    "pac": (
+        lambda: simulate_pac(GCC, warmup=500),
+        (TimingModel, "finish"), one_more_ref, "timing saw",
+    ),
+    "shared": (
+        lambda: simulate_shared([GCC, build("swim", 2_000, 0)]),
+        (TimingModel, "finish"), one_more_ref, "timing saw",
+    ),
+    "accuracy": (
+        lambda: accuracy.measure_accuracy(GCC.addresses, PAPER_MACHINE.l1),
+        (accuracy, "_result_at"), one_more_hit, r"hits \+ misses",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_checks_its_counters(entry, monkeypatch):
+    # No variable set and no setter called: the checks have no switch.
+    run, (owner, name), damage, law = ENTRY_POINTS[entry]
+    real = getattr(owner, name)
+
+    def damaged(*args, **kwargs):
+        out = real(*args, **kwargs)
+        damage(out)
+        return out
+
+    run()  # undamaged, every law holds
+    monkeypatch.setattr(owner, name, damaged)
+    with pytest.raises(InvariantViolation, match=law):
+        run()

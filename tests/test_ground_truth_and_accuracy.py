@@ -199,3 +199,12 @@ class TestAccuracyMatchesReferenceLoop:
         for addrs in ([], [0x1000]):
             with pytest.raises(ValueError, match="tag_bits"):
                 measure_accuracy(addrs, dm16k, tag_bits=0)
+
+    def test_rejects_the_addresses_a_trace_rejects(self, dm16k):
+        # -64 >> 6 is block -1, the direct-mapped pass's empty-set
+        # sentinel: unchecked, the first reference to a cold cache hit.
+        assert measure_accuracy([0, 64, 128], dm16k).miss_rate == 100.0
+        with pytest.raises(ValueError, match=r"addresses must lie in \[0, "):
+            measure_accuracy([-64, 0, 64], dm16k)
+        with pytest.raises(ValueError, match="addresses must be integers"):
+            measure_accuracy([1.7, 65.2], dm16k)

@@ -31,9 +31,8 @@ from repro.harness.report import CellReport, CellStatus, RunReport
 
 TINY = ExperimentParams(n_refs=4_000, warmup=1_000, suite=["gcc"])
 
-#: No backoff sleeps, one retry, subprocess isolation.
+#: No backoff sleeps, one retry.
 FAST = HarnessConfig(retries=1, backoff_s=0.0)
-FAST_INLINE = HarnessConfig(retries=1, backoff_s=0.0, isolate=False)
 
 
 def sample_result() -> ExperimentResult:
@@ -129,13 +128,14 @@ class TestFaultInjection:
 
 class TestBackoff:
     def test_deterministic_and_exponential(self):
-        cfg = HarnessConfig(backoff_s=0.1, backoff_factor=2.0, jitter=0.5)
+        # Factor 2 per attempt, up to 25% jitter.
+        cfg = HarnessConfig(backoff_s=0.1)
         d1 = backoff_delay(cfg, "fig1.main", 1, seed=0)
         assert d1 == backoff_delay(cfg, "fig1.main", 1, seed=0)
         assert d1 != backoff_delay(cfg, "fig1.main", 1, seed=1)
         d2 = backoff_delay(cfg, "fig1.main", 2, seed=0)
-        assert 0.1 <= d1 <= 0.1 * 1.5
-        assert 0.2 <= d2 <= 0.2 * 1.5
+        assert 0.1 <= d1 <= 0.1 * 1.25
+        assert 0.2 <= d2 <= 0.2 * 1.25
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -143,7 +143,7 @@ class TestBackoff:
         with pytest.raises(ValueError):
             HarnessConfig(retries=-1)
         with pytest.raises(ValueError):
-            HarnessConfig(backoff_factor=0.5)
+            HarnessConfig(backoff_s=-0.5)
 
 
 class TestRunDirectory:
@@ -185,9 +185,8 @@ class TestRunDirectory:
 class TestExecutor:
     CELLS = [CellSpec("table1", "main"), CellSpec("fig3", "main")]
 
-    @pytest.mark.parametrize("config", [FAST, FAST_INLINE], ids=["isolated", "inline"])
-    def test_clean_run(self, config):
-        report = run_cells([CellSpec("table1", "main")], TINY, config)
+    def test_clean_run(self):
+        report = run_cells([CellSpec("table1", "main")], TINY, FAST)
         assert [c.status for c in report.cells] == [CellStatus.OK]
         assert report.ok and report.exit_code(strict=True) == 0
 

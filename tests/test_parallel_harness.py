@@ -7,7 +7,7 @@ Covers the PR's acceptance properties:
   flaky fault injection and across a resume;
 * worker processes are always reaped and closed: a 200-cell sweep leaves
   no children (zombie or live) behind and does not leak fds;
-* ``--jobs`` CLI semantics (default, validation, --no-isolate clash);
+* ``--jobs`` CLI semantics (default, validation);
 * the ``single_node_service`` bench cell emits its artifact, each of its
   committed limits fires, and the committed baseline carries the service
   limits and a perfbench floor pair for every benchmark workload.
@@ -57,11 +57,6 @@ class TestConfigValidation:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError, match="jobs"):
             HarnessConfig(jobs=0)
-
-    def test_parallel_requires_isolation(self):
-        with pytest.raises(ValueError, match="isolation"):
-            HarnessConfig(jobs=2, isolate=False)
-        HarnessConfig(jobs=1, isolate=False)  # serial inline is fine
 
 
 class TestParallelEquivalence:
@@ -186,16 +181,6 @@ class TestCLIJobs:
     def test_jobs_zero_rejected(self):
         with pytest.raises(SystemExit):
             main(["table1"] + self.TAIL + ["--jobs", "0"])
-
-    def test_jobs_conflicts_with_no_isolate(self):
-        with pytest.raises(SystemExit):
-            main(["table1"] + self.TAIL + ["--jobs", "2", "--no-isolate"])
-
-    def test_no_isolate_defaults_to_serial(self, capsys):
-        # Without an explicit --jobs, --no-isolate must not inherit the
-        # CPU-count default (that combination is rejected).
-        rc = main(["table1"] + self.TAIL + ["--no-isolate"])
-        assert rc == 0
 
     def test_all_excludes_sharded_sweeps(self, capsys):
         from repro.experiments.runner import _build_parser, _validate_names

@@ -20,7 +20,6 @@ from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.filters import ConflictFilter
 from repro.core.ground_truth import GroundTruthClassifier
 from repro.core.mct import MissClassificationTable
-from repro.harness import invariants
 from repro.harness.invariants import InvariantViolation, check_system_stats
 from repro.system.config import PAPER_MACHINE
 from repro.system.simulator import simulate
@@ -244,18 +243,11 @@ sim_block_lists = st.lists(sim_blocks, min_size=1, max_size=300)
 
 
 def _simulate_checked(refs, policy, warmup=0):
-    """Run a block-reference list with invariant checking forced on."""
+    """Run a block-reference list; the run validates its own statistics
+    before returning them, and the explicit call re-validates them."""
     trace = Trace([b * 64 for b in refs], name="prop")
-    invariants.set_enabled(True)
-    try:
-        # MemorySystem.finish() validates via the debug-flag hook; the
-        # explicit call below re-validates including the coupled laws.
-        stats = simulate(trace, policy, warmup=warmup)
-    finally:
-        invariants.set_enabled(None)
-    check_system_stats(
-        stats, issue_rate=PAPER_MACHINE.timing.issue_rate
-    )
+    stats = simulate(trace, policy, warmup=warmup)
+    check_system_stats(stats, issue_rate=PAPER_MACHINE.timing.issue_rate)
     return stats
 
 
@@ -331,22 +323,6 @@ class TestInvariantChecker:
         stats.timing.memory_refs += 1
         with pytest.raises(InvariantViolation):
             self.check(stats)
-
-    def test_disabled_by_default_outside_harness(self):
-        stats = self.good_stats()
-        stats.l1.hits += 1  # corrupt — but the gated hook must not fire
-        invariants.set_enabled(None)
-        assert not invariants.check_enabled()
-        invariants.maybe_check_system(stats)
-
-    def test_env_flag_enables_checks(self, monkeypatch):
-        monkeypatch.setenv(invariants.ENV_FLAG, "1")
-        invariants.set_enabled(None)
-        assert invariants.check_enabled()
-        stats = self.good_stats()
-        stats.l1.hits += 1
-        with pytest.raises(InvariantViolation):
-            invariants.maybe_check_system(stats)
 
 
 class TestWorkloadProperties:

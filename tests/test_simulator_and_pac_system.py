@@ -261,14 +261,10 @@ class TestPacSystem:
     @pytest.mark.parametrize("bench", ["gcc", "tomcatv", "swim"])
     @pytest.mark.parametrize("variant", list(PacVariant))
     def test_statistics_obey_the_invariant_laws(self, variant, bench):
-        # Every miss is classified once, by its primary slot's MCT.
-        from repro.harness import invariants
+        # Every miss is classified once, by its primary slot's MCT;
+        # finish() raises on any broken law.
         from repro.workloads.spec_analogs import build
 
-        invariants.set_enabled(True)
-        try:
-            stats = simulate_pac(build(bench, 6_000, 0), variant, warmup=1_000)
-        finally:
-            invariants.set_enabled(None)
+        stats = simulate_pac(build(bench, 6_000, 0), variant, warmup=1_000)
         predicted = stats.conflict_misses_predicted + stats.capacity_misses_predicted
         assert predicted == stats.l1.misses > 0

@@ -1,5 +1,7 @@
 """Tests for trace containers and primitive address streams."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,41 @@ class TestTrace:
     def test_negative_gap_raises(self):
         with pytest.raises(ValueError):
             Trace([1], gaps=[-1])
+
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            # Cast unchecked, 70000 would wrap to 4464 in int16.
+            (dict(addresses=np.array([0, 64]), gaps=np.array([70_000, 1])),
+             "gaps must lie in [0, 32767], got 70000"),
+            (dict(addresses=np.array([0, 64]), gaps=np.array([40_000, 1])),
+             "gaps must lie in [0, 32767], got 40000"),
+            (dict(addresses=[0], gaps=[40_000]),
+             "gaps must lie in [0, 32767], got 40000"),
+            (dict(addresses=[1.7, 65.2]),
+             "addresses must be integers, got dtype float64"),
+            (dict(addresses=np.array([2**63 + 64], dtype=np.uint64)),
+             f"addresses must lie in [0, {2**63 - 1}], got {2**63 + 64}"),
+            (dict(addresses=[2**63]),
+             f"addresses must lie in [0, {2**63 - 1}], got {2**63}"),
+            (dict(addresses=np.zeros((2, 2), dtype=np.int64)),
+             "addresses must be one-dimensional, got shape (2, 2)"),
+            (dict(addresses=[0, 64], is_load=["no", "yes"]),
+             "is_load must be booleans, got dtype <U3"),
+        ],
+        ids=["gap-wraps", "gap-reads-negative", "gap-list", "float-address",
+             "uint64-address", "python-int-address", "2d-addresses",
+             "string-loads"],
+    )
+    def test_rejects_what_it_would_coerce(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Trace(**kwargs)
+
+    def test_stored_dtypes_are_kept_without_a_copy(self):
+        addresses = np.arange(0, 640, 64, dtype=np.int64)
+        gaps = np.full(10, 32_767, dtype=np.int16)
+        t = Trace(addresses, gaps=gaps, pcs=addresses)
+        assert t.addresses is addresses and t.gaps is gaps and t.pcs is addresses
 
     def test_slicing(self):
         t = Trace(range(10))

@@ -49,7 +49,6 @@ from repro.system.vector import (
     empty_l1_state,
     simulate_vector,
     vector_ineligibility,
-    vector_supported,
 )
 from repro.workloads.spec_analogs import EVAL_SUITE, build
 from repro.workloads.trace import Trace
@@ -206,7 +205,7 @@ def scalar_suite_run(
 def assert_identity(
     bench: str, machine: MachineConfig, warmup: int, policy: AssistConfig = BASELINE
 ) -> None:
-    vector = simulate(suite_trace(bench), policy, machine, warmup=warmup, engine="vector")
+    vector = simulate_vector(suite_trace(bench), policy, machine, warmup=warmup)
     assert canon(vector) == canon(scalar_suite_run(bench, machine, warmup, policy))
 
 
@@ -496,18 +495,21 @@ ASSOC_L1 = machine_with_assoc(2)
 
 class TestEngineDispatch:
     def test_vector_supported_gating(self):
-        assert vector_supported(BASELINE, PAPER_MACHINE)
+        def supported(policy, machine):
+            return vector_ineligibility(policy, machine) is None
+
+        assert supported(BASELINE, PAPER_MACHINE)
         # A buffered cell runs the buffered replay on a direct-mapped L1...
-        assert vector_supported(victim.filter_both(), PAPER_MACHINE)
-        assert vector_supported(amb.vic_pre_exc(16), SLOW_BUS_MACHINE)
+        assert supported(victim.filter_both(), PAPER_MACHINE)
+        assert supported(amb.vic_pre_exc(16), SLOW_BUS_MACHINE)
         # ...but not beside an associative one, which the replay's one
         # resident block per set cannot model.
-        assert not vector_supported(victim.filter_both(), ASSOC_L1)
+        assert not supported(victim.filter_both(), ASSOC_L1)
         # A set-associative L1 never disqualifies a bufferless cell: the
         # general pass replays per-set LRU with stack distances.
         l2ish = replace(PAPER_MACHINE, l1=PAPER_MACHINE.l2)
-        assert vector_supported(BASELINE, l2ish)
-        assert vector_supported(BASELINE, machine_with_assoc(8))
+        assert supported(BASELINE, l2ish)
+        assert supported(BASELINE, machine_with_assoc(8))
 
     @pytest.mark.parametrize(
         ("policy_kwargs", "expect"),
@@ -536,19 +538,19 @@ class TestEngineDispatch:
 
     def test_unknown_engine_rejected(self):
         trace = build("gcc", 100, 0)
-        with pytest.raises(ValueError, match="bogus"):
-            simulate(trace, BASELINE, engine="bogus")
+        for engine in ("bogus", "vector"):  # simulate_vector() demands it
+            with pytest.raises(ValueError, match=f"unknown engine '{engine}'"):
+                simulate(trace, BASELINE, engine=engine)
 
     def test_vector_demand_raises_with_blame(self):
-        # engine="vector" is a demand, not a preference: an ineligible
+        # simulate_vector() is a demand, not a preference: an ineligible
         # cell must fail loudly and say which feature forced scalar.
         trace = build("gcc", 2_000, 0)
         policy = victim.filter_both()
         reason = vector_ineligibility(policy, ASSOC_L1)
         with pytest.raises(ValueError, match="assist buffer") as excinfo:
-            simulate(trace, policy, ASSOC_L1, warmup=100, engine="vector")
+            simulate_vector(trace, policy, ASSOC_L1, warmup=100)
         assert reason in str(excinfo.value)
-        assert "engine='auto'" in str(excinfo.value)
 
     def test_simulate_vector_raises_with_blame(self):
         trace = build("gcc", 500, 0)
@@ -563,7 +565,7 @@ class TestEngineDispatch:
         assert canon(auto) == canon(scalar)
 
     def test_auto_runs_buffered_replay_on_direct_mapped_l1(self, monkeypatch):
-        # engine="auto" and engine="vector" both take the buffered
+        # engine="auto" and simulate_vector() both take the buffered
         # replay; the scalar MemorySystem is never built.
         import repro.system.simulator as simulator
 
@@ -573,9 +575,9 @@ class TestEngineDispatch:
         trace = build("gcc", 2_000, 0)
         scalar = simulate(trace, amb.vic_pre_exc(), warmup=100, engine="scalar")
         monkeypatch.setattr(simulator, "MemorySystem", refuse)
-        for engine in ("auto", "vector"):
-            fast = simulate(trace, amb.vic_pre_exc(), warmup=100, engine=engine)
-            assert canon(fast) == canon(scalar)
+        auto = simulate(trace, amb.vic_pre_exc(), warmup=100)
+        fast = simulate_vector(trace, amb.vic_pre_exc(), warmup=100)
+        assert canon(auto) == canon(fast) == canon(scalar)
 
 
 class TestInstrumentedCampaign:
@@ -597,7 +599,10 @@ class TestInstrumentedCampaign:
             cell="vector-test",
         )
         try:
-            stats = simulate(trace, policy, machine, warmup=500, engine=engine)
+            if engine == "vector":
+                stats = simulate_vector(trace, policy, machine, warmup=500)
+            else:
+                stats = simulate(trace, policy, machine, warmup=500, engine=engine)
         finally:
             obs_events.deactivate()
         return path, stats
